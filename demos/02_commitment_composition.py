@@ -15,7 +15,7 @@ from qtwoparty import bc
 
 theta = np.pi / 6
 
-print("exact sweep at theta = pi/6 (every M*N small enough for dense work):")
+print("exact sweep at theta = pi/6 (every M*N within the exact cap):")
 header = f"{'M':>3} {'N':>3} {'f':>10} {'d':>10} {'f+d':>10} {'alice_q':>10} {'bob_q':>10} {'alice_cl':>10} {'bob_cl':>10}"
 print(header)
 for rep in bc.sweep(theta, range(1, 5), range(1, 4)):

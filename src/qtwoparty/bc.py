@@ -18,9 +18,12 @@ receiver measuring parity jointly guesses the commitment with probability
 Fidelity is multiplicative under tensor products, so f = F(rho_E, rho_O)^N;
 the single-string fidelity is evaluated exactly for any M by reducing the
 pair (rho_E, rho_O) to invariant 2x2 blocks (see ``mixture_fidelity``).
-Trace distance has no such product rule, so d is computed by brute
-eigendecomposition of W_0 - W_1 up to the exact-computation cap and bracketed
-by the Fuchs-van de Graaf interval [1 - f, sqrt(1 - f^2)] beyond it.
+Trace distance has no such product rule, but the same blocks make W_0 and
+W_1 rank one on each 2^N-dimensional block of the N-fold power, so d is an
+exact sum over multisets of block classes (see ``_block_trace_distance``)
+up to the exact-computation cap, and the Fuchs-van de Graaf interval
+[1 - f, sqrt(1 - f^2)] beyond it. The dense ``build_w`` operators remain as
+the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +35,13 @@ import numpy as np
 
 from . import linalg, ot
 
-# Largest M*N for which W_0, W_1 are built densely (dimension 2^(M*N)).
+# Largest M*N for which d is computed exactly; rows above it get the
+# Fuchs-van de Graaf interval.
 EXACT_CAP = 12
+
+# Largest number of block-class terms C(floor(M/2) + N, N) summed for one
+# exact d; a term costs a few microseconds.
+MAX_D_TERMS = 10**5
 
 EVEN = "even"
 ODD = "odd"
@@ -200,24 +208,100 @@ class TraceDistanceBound:
         return self.lo
 
 
+def block_terms(m: int, n: int) -> int:
+    """Number of terms C(floor(m/2) + n, n) in the exact d sum at (m, n)."""
+    return math.comb(m // 2 + n, n)
+
+
+def _block_trace_distance(m: int, n: int, theta: float) -> float:
+    """D(W_0, W_1) summed over the rank-one blocks of the N-fold power.
+
+    Block class j (0 <= j <= m/2) holds the pairs {y, ybar} with y of weight
+    j: c_j of them, c_j = C(m, j), halved at j = m/2. On each pair rho_even
+    and rho_odd are |v><v| and |w><w| with v = (sqrt a_j, sqrt a_{m-j}),
+    w = (sqrt a_j, -sqrt a_{m-j}) and a_j = cos^2(th)^(m-j) sin^2(th)^j.
+    A block of the N-fold power picks one pair per factor; its two rank-one
+    operators share the norm P = prod (a_j + a_{m-j}) and have overlap
+    r P with r = prod t_j, t_j = (a_j - a_{m-j}) / (a_j + a_{m-j}), so it
+    adds P sqrt((1 - r)(1 + r)) to d. Grouping blocks by the multiset of
+    their classes gives
+
+        d = sum over k_0 + ... + k_J = N of multinomial(N; k)
+            * prod (c_j (a_j + a_{m-j}))^(k_j) * sqrt((1 - r)(1 + r)).
+
+    Everything is carried in logs: with u_j = tan^2(th)^(m-2j) = a_{m-j}/a_j,
+    log t_j = log1p(-2u/(1 + u)) and 1 - r = -expm1(sum k_j log t_j), so
+    nothing cancels as theta -> 0 and nothing underflows at large m. u is
+    clamped to 1: at theta = pi/4 the exact tan^2 lies within an ulp of 1,
+    and a rounding above 1 would put log1p outside its domain.
+    The term weights multinomial * prod (...)^(k_j) sum to Tr W_0 = 1, so the
+    sum is divided by their computed total: that cancels the rounding they
+    share, lgamma(N + 1)'s, which reaches 2e-10 at N ~ 10^5.
+    """
+    # log sin^2 as 2 log sin, because sin^2 underflows below theta ~ 1e-154;
+    # log cos^2 as log1p(-sin^2), because log cos loses its relative precision
+    # as theta -> 0 and large N multiplies that error
+    log_s2, log_c2 = 2.0 * math.log(math.sin(theta)), math.log1p(-math.sin(theta) ** 2)
+    tan2 = math.tan(theta) ** 2
+    log_w, log_t = [], []
+    for j in range(m // 2 + 1):
+        u = min(1.0, tan2 ** (m - 2 * j))
+        log_pairs = (
+            math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+            - (math.log(2.0) if 2 * j == m else 0.0)
+        )
+        log_w.append(log_pairs + (m - j) * log_c2 + j * log_s2 + math.log1p(u))
+        log_t.append(math.log1p(-2.0 * u / (1.0 + u)) if u < 1.0 else -math.inf)
+
+    # Walk the compositions k class by class. A partial state is (factors
+    # still to place, log of multinomial * prod weights so far, log r so far);
+    # it becomes a term once no factors remain, and the last class takes all
+    # that are left, so the walk visits fewer than two states per term.
+    weights, terms = [], []
+    states = [(n, math.lgamma(n + 1), 0.0)]
+    last = len(log_w) - 1
+    for j, (lw_j, lt_j) in enumerate(zip(log_w, log_t)):
+        grown = []
+        for left, lw, lr in states:
+            for k in range(left if j == last else 0, left + 1):
+                lw_k = lw - math.lgamma(k + 1) + k * lw_j
+                lr_k = lr + k * lt_j if k else lr
+                if k == left:
+                    weights.append(math.exp(lw_k))
+                    terms.append(
+                        weights[-1] * math.sqrt(-math.expm1(lr_k) * (1.0 + math.exp(lr_k)))
+                    )
+                else:
+                    grown.append((left - k, lw_k, lr_k))
+        states = grown
+    return min(max(math.fsum(terms) / math.fsum(weights), 0.0), 1.0)
+
+
 def compute_d(
     params: BcParams,
     *,
     exact_cap: int = EXACT_CAP,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
+    f: float | None = None,
 ) -> TraceDistanceBound:
     """Receiver's parity distinguishability d = D(W_0, W_1).
 
-    Exact via eigendecomposition of W_0 - W_1 while M*N <= exact_cap;
-    beyond the cap, returns the interval [1 - f, sqrt(1 - f^2)].
+    Exact while M*N <= exact_cap, as the block-class sum of
+    ``_block_trace_distance``; an exact row whose sum has more than
+    ``MAX_D_TERMS`` terms raises ``linalg.DimensionCapError``. Beyond the
+    cap, returns the interval [1 - f, sqrt(1 - f^2)], using ``f`` when the
+    caller already has it and ``compute_f`` otherwise.
     """
     if params.m * params.n <= exact_cap:
-        d = linalg.trace_distance(
-            build_w(params, 0, dim_cap=max(dim_cap, 2 ** (params.m * params.n))),
-            build_w(params, 1, dim_cap=max(dim_cap, 2 ** (params.m * params.n))),
-        )
+        terms = block_terms(params.m, params.n)
+        if terms > MAX_D_TERMS:
+            raise linalg.DimensionCapError(
+                f"exact d at (M, N) = ({params.m}, {params.n}) needs {terms} block terms, "
+                f"more than the limit {MAX_D_TERMS}; lower the exact cap to get an interval row"
+            )
+        d = _block_trace_distance(params.m, params.n, params.theta)
         return TraceDistanceBound(d, d, True)
-    f = compute_f(params)
+    if f is None:
+        f = compute_f(params)
     lo = max(0.0, 1.0 - f)
     hi = math.sqrt(max(0.0, 1.0 - f * f))
     return TraceDistanceBound(lo, hi, False)
@@ -272,11 +356,16 @@ def cheat_report(
     exact_cap: int = EXACT_CAP,
     cross_check: bool = False,
     dim_cap: int = linalg.DEFAULT_DIM_CAP,
+    security: ot.PartialSecurityPair | None = None,
 ) -> BcCheatReport:
-    """Full report: quantum f, d and the classical composition bounds."""
-    sec = ot.partial_security(params.ot_params)
+    """Full report: quantum f, d and the classical composition bounds.
+
+    ``security`` is the transfer's (p, q) at ``params.theta``; it depends on
+    theta alone, so a sweep computes it once and passes it to every row.
+    """
+    sec = security if security is not None else ot.partial_security(params.ot_params)
     f = compute_f(params, cross_check=cross_check, dim_cap=dim_cap)
-    d = compute_d(params, exact_cap=exact_cap, dim_cap=dim_cap)
+    d = compute_d(params, exact_cap=exact_cap, f=f)
     return BcCheatReport(
         params=params,
         f=f,
@@ -301,6 +390,7 @@ def sweep(
     Rows above the exact cap are interval rows; pass ``allow_interval=False``
     to refuse them instead.
     """
+    security = ot.partial_security(theta)
     rows: list[BcCheatReport] = []
     for m in sorted(set(int(v) for v in m_values)):
         for n in sorted(set(int(v) for v in n_values)):
@@ -315,6 +405,7 @@ def sweep(
                     exact_cap=exact_cap,
                     cross_check=cross_check,
                     dim_cap=dim_cap,
+                    security=security,
                 )
             )
     return rows

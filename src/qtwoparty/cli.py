@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     p.add_argument("--n-range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     p.add_argument("--exact-cap", type=int, default=bc.EXACT_CAP,
-                   help="largest M*N computed by dense eigendecomposition")
+                   help="largest M*N whose d is computed exactly from the block structure")
     p.add_argument("--interval", action="store_true",
                    help="emit Fuchs-van de Graaf interval rows above the exact cap")
 

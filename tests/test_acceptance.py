@@ -93,15 +93,19 @@ def test_03_commitment_exact_grid():
         d = linalg.trace_distance(w0, w1)
         assert abs(f - direct) <= 1e-8, (m, n)
         assert f + d >= 1 - 1e-9, (m, n)
+        packaged = bc.compute_d(params)
+        assert packaged.exact and abs(packaged.value - d) <= 1e-12, (m, n)
         if (m, n) == (1, 1):
             assert abs(f - 0.5) <= 1e-10
             assert abs(d - math.sqrt(3) / 2) <= 1e-10
-    # spot-check that the packaged exact path agrees with the direct values
-    spot = bc.compute_d(bc.BcParams(2, 3, PI6))
-    assert spot.exact
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    _report(3, True, f"f + d >= 1 and multiplicativity on all 35 exact rows ({elapsed:.1f}s)")
+    _report(
+        3,
+        True,
+        "f + d >= 1, multiplicativity and the packaged exact d on all 35 rows "
+        f"({elapsed:.1f}s)",
+    )
 
 
 def test_04_quantum_beats_classical_intuition():

@@ -217,6 +217,43 @@ def test_compute_d_interval_above_cap():
     assert abs(d.lo - (1 - f)) < 1e-15
     assert abs(d.hi - math.sqrt(1 - f * f)) < 1e-15
     assert d.value == d.lo
+    assert bc.compute_d(params, f=f) == d
+
+
+DENSE_THETAS = (1e-3, 0.1, PI6, 0.7, math.pi / 4)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)]
+)
+def test_compute_d_matches_dense_oracle(m, n):
+    # the block-class sum against the eigendecomposition of the built W_0 - W_1
+    for theta in DENSE_THETAS:
+        params = bc.BcParams(m, n, theta)
+        dense = linalg.trace_distance(bc.build_w(params, 0), bc.build_w(params, 1))
+        d = bc.compute_d(params)
+        assert d.exact
+        assert math.isclose(d.value, dense, rel_tol=1e-10), (theta, d.value, dense)
+
+
+def test_compute_d_single_string_small_theta():
+    # N = 1 gives D(rho_E, rho_O) = sin(2 theta)^M; as theta -> 0 a naive
+    # P^2 - Q^2 would cancel to nothing long before d underflows
+    for m in range(1, 13):
+        for theta in (1e-3, 1e-2, 0.1, PI6, 0.7, math.pi / 4):
+            d = bc.compute_d(bc.BcParams(m, 1, theta)).value
+            assert math.isclose(d, bc.mixture_trace_distance(m, theta), rel_tol=1e-12), (m, theta)
+
+
+def test_compute_d_term_budget():
+    assert bc.block_terms(12, 1) == 7
+    assert bc.block_terms(2, 6) == 7
+    big = bc.BcParams(200, 50, PI6)
+    assert bc.block_terms(200, 50) > bc.MAX_D_TERMS
+    with pytest.raises(linalg.DimensionCapError):
+        bc.compute_d(big, exact_cap=100_000)
+    # the same row under the default cap is an interval row and needs no terms
+    assert not bc.compute_d(big).exact
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +358,30 @@ def test_sweep_quantum_cheats_exceed_half_strictly():
         for rep in bc.sweep(theta, [1, 2, 3], [1, 2]):
             assert rep.alice_quantum > 0.5
             assert rep.bob_quantum > 0.5
+
+
+def test_sweep_computes_each_quantity_once(monkeypatch):
+    # (p, q) depend on theta alone: one call per sweep; f once per row, the
+    # interval rows included
+    calls = {"partial_security": 0, "compute_f": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ot, "partial_security")
+    counted(bc, "compute_f")
+    rows = bc.sweep(PI6, range(1, 5), range(3, 6))
+    assert len(rows) == 12 and sum(not r.d.exact for r in rows) == 3
+    assert calls == {"partial_security": 1, "compute_f": 12}
+    sec = ot.partial_security(PI6)
+    for rep in rows:
+        assert rep.classical == bc.classical_bounds(sec.p, sec.q, rep.params.m, rep.params.n)
 
 
 def test_sweep_refuses_interval_when_disallowed():

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from qtwoparty import cli
+from qtwoparty import bc, cli
 
 
 def run(argv):
@@ -122,6 +122,30 @@ def test_bc_analyze_cap_requires_interval_flag(tmp_path, capsys):
     rows = read_csv(out)
     assert rows[0]["exact_or_interval"] == "interval"
     assert float(rows[0]["f_plus_d"]) >= 1 - 1e-9
+
+
+def test_bc_analyze_exact_cap_beyond_dense_sizes(tmp_path):
+    # 2^16-dimensional W operators would need 32 GiB; the block sum needs 9 terms
+    out = tmp_path / "m16.csv"
+    theta = math.pi / 6
+    assert run(["bc-analyze", "--theta", str(theta), "--m-range", "16", "16",
+                "--n-range", "1", "1", "--exact-cap", "16", "--output", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert row["exact_or_interval"] == "exact"
+    assert math.isclose(float(row["d"]), bc.mixture_trace_distance(16, theta), rel_tol=1e-12)
+
+
+def test_bc_analyze_refuses_exact_rows_over_term_budget(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the block sum started before the budget was checked")
+
+    monkeypatch.setattr(bc, "_block_trace_distance", never)
+    out = tmp_path / "big.csv"
+    code = run(["bc-analyze", "--theta", "30deg", "--m-range", "200", "200",
+                "--n-range", "50", "50", "--exact-cap", "100000", "--output", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "block terms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bc_analyze_bad_range(tmp_path):
