@@ -93,20 +93,22 @@ def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) 
 # ---------------------------------------------------------------------------
 
 
+def _ot_params(theta: float) -> ot.OtParams:
+    """Protocol parameters for an angle; one outside (0, pi/4] is a usage error."""
+    try:
+        return ot.OtParams(float(theta))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def run_ot_analyze(params: dict) -> int:
-    thetas = [float(t) for t in params["thetas"]]
-    if not thetas:
+    grid = [_ot_params(t) for t in params["thetas"]]
+    if not grid:
         raise UsageError("the theta grid is empty; pass --theta and/or --grid")
-    for th in thetas:
-        if not (0.0 < th <= ot.THETA_MAX + 1e-12):
-            raise UsageError(
-                f"theta = {th!r} outside the valid interval (0, pi/4]"
-            )
     header = ["theta", "p", "q", "honest_success", "honest_hash", "degenerate"]
     rows = []
     json_rows = []
-    for th in thetas:
-        p = ot.OtParams(th)
+    for p in grid:
         sec = ot.partial_security(p)
         dist = ot.honest_distribution(p, 0)
         row = [p.theta, sec.p, sec.q, dist[ot.BIT0], dist[ot.HASH], p.is_degenerate]
@@ -137,6 +139,7 @@ BC_HEADER = [
 
 def run_bc_analyze(params: dict) -> int:
     theta = float(params["theta"])
+    _ot_params(theta)  # refuses an angle outside (0, pi/4]
     m_lo, m_hi = params["m_range"]
     n_lo, n_hi = params["n_range"]
     if m_lo < 1 or n_lo < 1 or m_hi < m_lo or n_hi < n_lo:

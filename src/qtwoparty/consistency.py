@@ -165,56 +165,74 @@ def residual(
     config: ConstraintConfig = FULL_CONFIG,
 ) -> ResidualReport:
     """Constraint residuals of a candidate under the given configuration."""
-    da, db, du = candidate.dims
-    psis = (
-        candidate.psi0.reshape(da, db, du),
-        candidate.psi1.reshape(da, db, du),
-    )
-    effects = {lab: candidate.povm.effect(lab) for lab in (ot.BIT0, ot.BIT1, ot.HASH)}
-    bit_effect = (effects[ot.BIT0], effects[ot.BIT1])
-    active = set(config.families)
-
-    half_bit = half_hash = wrong_bit = alice_blind = None
-    bob_info = None
-
-    if active & {"half_bit", "half_hash", "wrong_bit"}:
-        rho_b = [_bob_marginal(p) for p in psis]
-        if "half_bit" in active:
-            half_bit = tuple(
-                abs(float(np.trace(rho_b[b] @ bit_effect[b]).real) - 0.5) for b in (0, 1)
-            )
-        if "half_hash" in active:
-            half_hash = tuple(
-                abs(float(np.trace(rho_b[b] @ effects[ot.HASH]).real) - 0.5) for b in (0, 1)
-            )
-        if "wrong_bit" in active:
-            wrong_bit = tuple(
-                max(0.0, float(np.trace(rho_b[b] @ bit_effect[1 - b]).real)) for b in (0, 1)
-            )
-
-    if "bob_info" in active:
-        bob_info = abs(linalg.trace_distance(_bu_marginal(psis[0]), _bu_marginal(psis[1])) - 0.5)
-
-    if "alice_blind" in active:
-        alice_blind = tuple(
-            linalg.trace_norm(
-                _au_conditional(psis[b], bit_effect[b]) - _au_conditional(psis[b], effects[ot.HASH])
-            )
-            for b in (0, 1)
-        )
-
+    parts = tuple(_state_part(psi.reshape(candidate.dims), config)
+                  for psi in (candidate.psi0, candidate.psi1))
+    effects = tuple(candidate.povm.effect(lab) for lab in (ot.BIT0, ot.BIT1, ot.HASH))
+    per_bit = tuple(_bit_values(parts[b], effects, b, config) for b in (0, 1))
+    bob_info = _bob_info(parts) if "bob_info" in config.families else None
     values = {
-        "half_bit": half_bit,
-        "half_hash": half_hash,
-        "wrong_bit": wrong_bit,
-        "bob_info": bob_info,
-        "alice_blind": alice_blind,
+        fam: (per_bit[0][fam], per_bit[1][fam]) if fam in per_bit[0] else None
+        for fam in _BIT_FAMILIES
     }
+    values["bob_info"] = bob_info
+    return ResidualReport(config=config, total=_total(per_bit, bob_info, config), **values)
+
+
+# The evaluation below works on arrays that are already valid: ``residual``
+# reaches it through a checked candidate, and the search objective through
+# the decoders, whose outputs are valid by construction. Both run the same
+# operations in the same order, so they give the same floats.
+
+_BIT_FAMILIES = ("half_bit", "half_hash", "wrong_bit", "alice_blind")
+_MARGINAL_FAMILIES = ("half_bit", "half_hash", "wrong_bit")
+
+
+def _state_part(psi3: np.ndarray, config: ConstraintConfig) -> tuple:
+    """(psi3, rho^B, rho^BU) of one (dA, dB, dU)-shaped state.
+
+    Each marginal is None when no active family needs it; they depend on
+    the state alone, so the search reuses them across POVM moves.
+    """
+    active = config.families
+    rho_b = _bob_marginal(psi3) if any(f in active for f in _MARGINAL_FAMILIES) else None
+    rho_bu = _bu_marginal(psi3) if "bob_info" in active else None
+    return psi3, rho_b, rho_bu
+
+
+def _bit_values(part: tuple, effects, b: int, config: ConstraintConfig) -> dict:
+    """Values of the active per-bit families for psi_b.
+
+    ``part`` comes from ``_state_part``; ``effects`` are the (bit0, bit1,
+    hash) effects on B.
+    """
+    psi3, rho, _ = part
+    active = config.families
+    out = {}
+    if "half_bit" in active:
+        out["half_bit"] = abs(float((rho @ effects[b]).trace().real) - 0.5)
+    if "half_hash" in active:
+        out["half_hash"] = abs(float((rho @ effects[2]).trace().real) - 0.5)
+    if "wrong_bit" in active:
+        out["wrong_bit"] = max(0.0, float((rho @ effects[1 - b]).trace().real))
+    if "alice_blind" in active:
+        out["alice_blind"] = linalg.trace_norm(
+            _au_conditional(psi3, effects[b]) - _au_conditional(psi3, effects[2])
+        )
+    return out
+
+
+def _bob_info(parts) -> float:
+    """|D(rho_0^BU, rho_1^BU) - 1/2| from the two states' parts."""
+    return abs(linalg.trace_distance(parts[0][2], parts[1][2]) - 0.5)
+
+
+def _total(per_bit, bob_info, config: ConstraintConfig) -> float:
+    """Weighted sum of the active families, in the configuration's order."""
     total = 0.0
     for fam in config.families:
-        val = values[fam]
-        total += config.weight(fam) * (sum(val) if isinstance(val, tuple) else val)
-    return ResidualReport(config=config, total=float(total), **values)
+        val = bob_info if fam == "bob_info" else per_bit[0][fam] + per_bit[1][fam]
+        total += config.weight(fam) * val
+    return float(total)
 
 
 def usd_witness(dims=(2, 2, 2), theta: float = math.pi / 6) -> TripartiteCandidate:
@@ -317,42 +335,47 @@ def candidate_from_vector(x: np.ndarray, dims: tuple[int, int, int]) -> Triparti
     S = sum_i G_i^dag G_i, which enforces positivity and completeness for
     any choice of the three complex matrices G_i.
     """
-    da, db, du = dims
-    total = da * db * du
     x = np.asarray(x, dtype=float)
     if x.shape != (_n_params(dims),):
         raise ValueError(f"parameter vector must have length {_n_params(dims)}")
+    seg0, seg1, povm_seg = _segments(x, dims)
+    effects = _decode_povm(povm_seg, dims[1])
+    povm = linalg.Povm(((ot.BIT0, effects[0]), (ot.BIT1, effects[1]), (ot.HASH, effects[2])))
+    return TripartiteCandidate(
+        dims=dims, psi0=_decode_state(seg0), psi1=_decode_state(seg1), povm=povm
+    )
 
-    def state(seg):
-        v = seg[:total] + 1j * seg[total:]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            v = np.zeros(total, dtype=complex)
-            v[0] = 1.0
-            nrm = 1.0
-        return v / nrm
 
-    psi0 = state(x[0 : 2 * total])
-    psi1 = state(x[2 * total : 4 * total])
+def _segments(x: np.ndarray, dims: tuple[int, int, int]):
+    """The psi0, psi1 and POVM parts of a parameter vector."""
+    total = dims[0] * dims[1] * dims[2]
+    return x[: 2 * total], x[2 * total : 4 * total], x[4 * total :]
 
-    gs = []
-    off = 4 * total
-    blk = db * db
-    for _ in range(3):
-        re = x[off : off + blk].reshape(db, db)
-        im = x[off + blk : off + 2 * blk].reshape(db, db)
-        gs.append(re + 1j * im)
-        off += 2 * blk
-    grams = [g.conj().T @ g for g in gs]
+
+def _decode_state(seg: np.ndarray) -> np.ndarray:
+    """Normalized complex state from its real and imaginary halves."""
+    total = seg.size // 2
+    v = seg[:total] + 1j * seg[total:]
+    nrm = np.linalg.norm(v)
+    if nrm < 1e-12:
+        v = np.zeros(total, dtype=complex)
+        v[0] = 1.0
+        nrm = 1.0
+    return v / nrm
+
+
+def _decode_povm(seg: np.ndarray, db: int) -> np.ndarray:
+    """The (bit0, bit1, hash) effects, stacked, from the 6 * dB^2 POVM parameters."""
+    g = seg.reshape(3, 2, db, db)
+    gs = g[:, 0] + 1j * g[:, 1]
+    grams = gs.conj().transpose(0, 2, 1) @ gs
     s = grams[0] + grams[1] + grams[2]
     w, v = np.linalg.eigh(s)
     floor = max(float(w[-1]), 1.0) * 1e-14
     inv_sqrt = (v / np.sqrt(np.maximum(w, floor))) @ v.conj().T
-    effects = [inv_sqrt @ gram @ inv_sqrt for gram in grams]
+    effects = inv_sqrt @ grams @ inv_sqrt
     # symmetrize away matmul round-off so the Povm invariants hold crisply
-    effects = [(e + e.conj().T) / 2 for e in effects]
-    povm = linalg.Povm(((ot.BIT0, effects[0]), (ot.BIT1, effects[1]), (ot.HASH, effects[2])))
-    return TripartiteCandidate(dims=dims, psi0=psi0, psi1=psi1, povm=povm)
+    return (effects + effects.conj().transpose(0, 2, 1)) / 2
 
 
 @dataclass(frozen=True)
@@ -383,12 +406,57 @@ class FeasibilityReport:
         }
 
 
+class _Objective:
+    """Total residual of a raw parameter vector, without building a candidate.
+
+    Returns exactly ``residual(candidate_from_vector(x, dims), config).total``:
+    both run the same helpers on the same arrays. Descent changes one
+    coordinate per probe, so consecutive vectors mostly differ in one of the
+    psi0, psi1 and POVM segments. A call decodes only the segments whose
+    bytes changed since the previous call. A state move re-scores that bit's
+    terms and recomputes ``bob_info``; a POVM move re-scores both bits
+    against the kept states and marginals and keeps ``bob_info``.
+    """
+
+    def __init__(self, dims: tuple[int, int, int], config: ConstraintConfig):
+        self.dims = dims
+        self.config = config
+        self.keys = [None, None, None]  # raw bytes of the psi0, psi1 and POVM segments
+        self.parts = [None, None]
+        self.effects = None
+        self.per_bit = [None, None]
+        self.bob_info = None
+
+    def __call__(self, x: np.ndarray) -> float:
+        segs = _segments(x, self.dims)
+        keys = [seg.tobytes() for seg in segs]
+        povm_moved = keys[2] != self.keys[2]
+        if povm_moved:
+            self.effects = _decode_povm(segs[2], self.dims[1])
+        state_moved = False
+        for b in (0, 1):
+            if keys[b] != self.keys[b]:
+                psi3 = _decode_state(segs[b]).reshape(self.dims)
+                self.parts[b] = _state_part(psi3, self.config)
+                state_moved = True
+            elif not povm_moved:
+                continue
+            self.per_bit[b] = _bit_values(self.parts[b], self.effects, b, self.config)
+        if state_moved and "bob_info" in self.config.families:
+            self.bob_info = _bob_info(self.parts)
+        self.keys = keys
+        return _total(self.per_bit, self.bob_info, self.config)
+
+
 def _descend(objective, x0: np.ndarray, max_iters: int, step0: float, step_tol: float):
     """Coordinate-wise pattern descent with a shrinking step.
 
     The trace-norm terms are non-smooth at eigenvalue crossings, so no
     gradients: each sweep tries +-step on every coordinate, keeping strict
-    improvements; a sweep without improvement halves the step.
+    improvements; a sweep without improvement halves the step. ``x`` is
+    changed in place, one coordinate per probe, so consecutive calls of
+    ``objective`` see vectors that differ in one or two coordinates; the
+    search objective reuses everything those coordinates do not touch.
     """
     x = x0.copy()
     best = objective(x)
@@ -434,6 +502,12 @@ def search(
     restart owns a generator spawned from the base seed sequence and the
     minimum is reduced in restart order. Non-convergence is not an error;
     the best point found is reported.
+
+    Arguments are checked here, once. The descent scores raw vectors with
+    ``_Objective``, which checks nothing per call and keeps, across calls
+    and restarts, what a move did not change. Only the best point goes
+    through ``candidate_from_vector`` and ``residual``, with their checks,
+    to give ``best_report``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
@@ -445,8 +519,7 @@ def search(
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be >= 1")
 
-    def objective(x):
-        return residual(candidate_from_vector(x, dims), config).total
+    objective = _Objective(dims, config)
 
     n = _n_params(dims)
     children = np.random.SeedSequence(seed).spawn(restarts)

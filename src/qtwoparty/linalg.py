@@ -40,7 +40,7 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -74,7 +74,7 @@ def check_pure(psi: np.ndarray, *, name: str = "psi") -> np.ndarray:
     psi = np.asarray(psi)
     if psi.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi.real)) or (np.iscomplexobj(psi) and not np.all(np.isfinite(psi.imag))):
+    if not np.isfinite(psi).all():
         raise ValueError(f"{name} has non-finite entries")
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > PURE_NORM_ATOL:
@@ -186,13 +186,6 @@ def _truncate_numerical_zeros(w: np.ndarray, floor: float = 0.0) -> np.ndarray:
     w = w.copy()
     w[w < cutoff] = 0.0
     return w
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(_as_square(m))
-    w = np.sqrt(_truncate_numerical_zeros(clamp_psd_eigenvalues(w)))
-    return (v * w) @ v.conj().T
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
             s, se = chsh(stats)
         except InsufficientDataError:
             s = se = None
-        stats = QkdRunStats(**{**stats.__dict__, "chsh_value": s, "chsh_stderr": se})
+        stats = replace(stats, chsh_value=s, chsh_stderr=se)
 
     if keep_trials:
         trials = TrialData(

@@ -148,6 +148,16 @@ def test_bc_analyze_refuses_exact_rows_over_term_budget(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_bc_analyze_out_of_range_theta_usage_error(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert run(["bc-analyze", "--theta", "1.0", "--m-range", "1", "1",
+                "--n-range", "1", "1", "--output", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(0, pi/4]" in err
+    assert not out.exists()
+
+
 def test_bc_analyze_bad_range(tmp_path):
     assert run(["bc-analyze", "--theta", "30deg", "--m-range", "3", "1",
                 "--n-range", "1", "1", "--output", str(tmp_path / "r.csv")]) == cli.EXIT_USAGE

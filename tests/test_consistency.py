@@ -238,6 +238,63 @@ def test_search_deterministic():
     assert a.best_report.components == b.best_report.components
 
 
+def _candidate_objective(dims, config):
+    # slow oracle for the search objective: decode and validate a whole
+    # candidate on every call, then score it
+    return lambda x: cons.residual(cons.candidate_from_vector(x, dims), config).total
+
+
+@pytest.mark.parametrize(
+    "dims, config",
+    [
+        ((2, 2, 2), cons.FULL_CONFIG),
+        ((2, 2, 2), cons.drop("alice_blind")),
+        ((2, 3, 2), cons.relax(["half_hash", "bob_info", "alice_blind"],
+                               {"bob_info": 2.5, "alice_blind": 0.3})),
+        ((1, 2, 3), cons.drop("bob_info")),
+    ],
+)
+def test_objective_matches_residual_exactly(dims, config):
+    # every value of the search objective must be the very float that
+    # residual() gives for the decoded candidate, whichever segment moved
+    rng = np.random.default_rng(31)
+    n = cons._n_params(dims)
+    half = 2 * dims[0] * dims[1] * dims[2]
+    segments = ((0, half), (half, 2 * half), (2 * half, n))  # psi0, psi1, POVM
+    x = rng.standard_normal(n)
+    objective = cons._Objective(dims, config)
+    slow = _candidate_objective(dims, config)
+    for k in range(90):
+        i = int(rng.integers(*segments[k % 3]))
+        base = x[i]
+        # a descent probe: +step, -step, then keep one or restore
+        for value in (base + 0.3, base - 0.3, base + rng.choice([0.3, 0.0])):
+            x[i] = value
+            got, want = objective(x), slow(x)
+            assert got == want, f"move {k} at coordinate {i}: {got.hex()} != {want.hex()}"
+
+
+@pytest.mark.parametrize("config", [cons.FULL_CONFIG, cons.drop("alice_blind")])
+def test_search_follows_candidate_objective(config):
+    # descents driven by the candidate objective must take the same
+    # trajectories as search, so the best value, evaluation and sweep
+    # counts and the best restart all agree exactly
+    dims, restarts, max_iters, seed = (2, 2, 2), 3, 20, 4
+    rep = cons.search(dims, restarts=restarts, max_iters=max_iters, seed=seed,
+                      config=config, step0=0.3, step_tol=1e-6)
+    slow = _candidate_objective(dims, config)
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        x0 = np.random.default_rng(child).standard_normal(cons._n_params(dims))
+        runs.append(cons._descend(slow, x0, max_iters, 0.3, 1e-6))
+    values = [run[1] for run in runs]
+    best = values.index(min(values))
+    assert rep.best_total_residual.hex() == values[best].hex()
+    assert rep.best_restart == best
+    assert rep.evaluations == sum(run[2] for run in runs)
+    assert rep.sweeps == sum(run[3] for run in runs)
+
+
 def test_search_scalar_dims_floor():
     # with one-dimensional labs the info constraint alone contributes 1/2
     rep = cons.search((1, 1, 1), restarts=5, max_iters=30, seed=0)
