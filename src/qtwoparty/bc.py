@@ -43,10 +43,6 @@ EXACT_CAP = 12
 # exact d; a term costs a few microseconds.
 MAX_D_TERMS = 10**5
 
-EVEN = "even"
-ODD = "odd"
-
-
 @dataclass(frozen=True)
 class BcParams:
     """Commitment knobs: m bits per string, n strings, transfer angle theta."""
@@ -66,47 +62,6 @@ class BcParams:
     @property
     def ot_params(self) -> ot.OtParams:
         return ot.OtParams(self.theta)
-
-
-@dataclass(frozen=True)
-class ParityMixture:
-    """Equal mixture of all same-parity m-fold signal-state products."""
-
-    parity: str
-    m: int
-    theta: float
-    operator: np.ndarray
-
-
-def build_parity_mixture(
-    m: int,
-    theta: float,
-    parity: str,
-    *,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
-) -> ParityMixture:
-    """Dense 2^m-dimensional parity mixture (1/2^(m-1)) sum over matching strings.
-
-    Built by the two-track recursion over string length: appending a bit to
-    an even-parity prefix keeps parity for signal 0 and flips it for signal 1.
-    """
-    if parity not in (EVEN, ODD):
-        raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, got {parity!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if 2**m > dim_cap:
-        raise linalg.DimensionCapError(
-            f"parity mixture dimension 2^{m} exceeds cap {dim_cap}"
-        )
-    psi0, psi1 = ot.make_states(theta)
-    p0, p1 = linalg.projector(psi0), linalg.projector(psi1)
-    even, odd = p0, p1
-    for _ in range(m - 1):
-        even, odd = (
-            0.5 * (np.kron(even, p0) + np.kron(odd, p1)),
-            0.5 * (np.kron(even, p1) + np.kron(odd, p0)),
-        )
-    return ParityMixture(parity, m, float(theta), even if parity == EVEN else odd)
 
 
 def mixture_fidelity(m: int, theta: float) -> float:
@@ -155,43 +110,35 @@ def mixture_trace_distance(m: int, theta: float) -> float:
     return math.sin(2 * theta) ** m
 
 
-def build_w(
-    params: BcParams,
-    bit: int,
-    *,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
-) -> np.ndarray:
-    """N-fold tensor power W_bit of the matching parity mixture (dim 2^(MN))."""
+def build_w(params: BcParams, bit: int) -> np.ndarray:
+    """N-fold tensor power W_bit of the matching parity mixture (dim 2^(MN)).
+
+    The mixture (1/2^(M-1)) sum over matching strings is built by the
+    two-track recursion over string length: appending a bit to an
+    even-parity prefix keeps parity for signal 0 and flips it for signal 1.
+    Dense, so refused above ``linalg.DEFAULT_DIM_CAP``; the test suite's
+    oracle for ``compute_f`` and ``compute_d``.
+    """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    mixture = build_parity_mixture(
-        params.m, params.theta, EVEN if bit == 0 else ODD, dim_cap=dim_cap
-    )
-    return linalg.tensor_power(mixture.operator, params.n, dim_cap=dim_cap)
-
-
-def compute_f(
-    params: BcParams,
-    *,
-    cross_check: bool = False,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
-) -> float:
-    """Committer's steering fidelity f = F(W_0, W_1) = F(rho_E, rho_O)^N.
-
-    With ``cross_check`` the multiplicative value is verified against the
-    dense F(W_0, W_1) (possible only while 2^(MN) fits under the cap);
-    disagreement beyond 1e-8 raises.
-    """
-    f = mixture_fidelity(params.m, params.theta) ** params.n
-    if cross_check:
-        direct = linalg.fidelity(
-            build_w(params, 0, dim_cap=dim_cap), build_w(params, 1, dim_cap=dim_cap)
+    if 2 ** (params.m * params.n) > linalg.DEFAULT_DIM_CAP:
+        raise linalg.DimensionCapError(
+            f"W dimension 2^{params.m * params.n} exceeds cap {linalg.DEFAULT_DIM_CAP}"
         )
-        if abs(f - direct) > 1e-8:
-            raise ArithmeticError(
-                f"multiplicative fidelity {f!r} disagrees with dense value {direct!r}"
-            )
-    return f
+    psi0, psi1 = ot.make_states(params.theta)
+    p0, p1 = linalg.projector(psi0), linalg.projector(psi1)
+    even, odd = p0, p1
+    for _ in range(params.m - 1):
+        even, odd = (
+            0.5 * (np.kron(even, p0) + np.kron(odd, p1)),
+            0.5 * (np.kron(even, p1) + np.kron(odd, p0)),
+        )
+    return linalg.tensor_power(even if bit == 0 else odd, params.n)
+
+
+def compute_f(params: BcParams) -> float:
+    """Committer's steering fidelity f = F(W_0, W_1) = F(rho_E, rho_O)^N."""
+    return mixture_fidelity(params.m, params.theta) ** params.n
 
 
 @dataclass(frozen=True)
@@ -354,8 +301,6 @@ def cheat_report(
     params: BcParams,
     *,
     exact_cap: int = EXACT_CAP,
-    cross_check: bool = False,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
     security: ot.PartialSecurityPair | None = None,
 ) -> BcCheatReport:
     """Full report: quantum f, d and the classical composition bounds.
@@ -364,7 +309,7 @@ def cheat_report(
     theta alone, so a sweep computes it once and passes it to every row.
     """
     sec = security if security is not None else ot.partial_security(params.ot_params)
-    f = compute_f(params, cross_check=cross_check, dim_cap=dim_cap)
+    f = compute_f(params)
     d = compute_d(params, exact_cap=exact_cap, f=f)
     return BcCheatReport(
         params=params,
@@ -375,37 +320,14 @@ def cheat_report(
     )
 
 
-def sweep(
-    theta: float,
-    m_values,
-    n_values,
-    *,
-    exact_cap: int = EXACT_CAP,
-    allow_interval: bool = True,
-    cross_check: bool = False,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
-) -> list[BcCheatReport]:
+def sweep(theta: float, m_values, n_values, *, exact_cap: int = EXACT_CAP) -> list[BcCheatReport]:
     """Cheat reports over an (M, N) grid, ordered by (M, N).
 
-    Rows above the exact cap are interval rows; pass ``allow_interval=False``
-    to refuse them instead.
+    Rows above the exact cap are interval rows.
     """
     security = ot.partial_security(theta)
-    rows: list[BcCheatReport] = []
-    for m in sorted(set(int(v) for v in m_values)):
-        for n in sorted(set(int(v) for v in n_values)):
-            if m * n > exact_cap and not allow_interval:
-                raise linalg.DimensionCapError(
-                    f"M*N = {m * n} exceeds the exact-computation cap {exact_cap}; "
-                    "enable interval mode to emit bounded rows"
-                )
-            rows.append(
-                cheat_report(
-                    BcParams(m, n, theta),
-                    exact_cap=exact_cap,
-                    cross_check=cross_check,
-                    dim_cap=dim_cap,
-                    security=security,
-                )
-            )
-    return rows
+    return [
+        cheat_report(BcParams(m, n, theta), exact_cap=exact_cap, security=security)
+        for m in sorted(set(int(v) for v in m_values))
+        for n in sorted(set(int(v) for v in n_values))
+    ]

@@ -152,11 +152,7 @@ def run_bc_analyze(params: dict) -> int:
         )
     try:
         reports = bc.sweep(
-            theta,
-            range(m_lo, m_hi + 1),
-            range(n_lo, n_hi + 1),
-            exact_cap=exact_cap,
-            allow_interval=params["interval"],
+            theta, range(m_lo, m_hi + 1), range(n_lo, n_hi + 1), exact_cap=exact_cap
         )
     except linalg.DimensionCapError as exc:
         raise UsageError(str(exc)) from None

@@ -33,7 +33,7 @@ needs a three-dimensional B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,17 @@ FAMILIES = ("half_bit", "half_hash", "wrong_bit", "bob_info", "alice_blind")
 
 ZERO_COMPONENT_TOL = 1e-10
 
+# Pattern-descent step: the first probe size, and the size below which a
+# restart stops.
+STEP0 = 0.3
+STEP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ConstraintConfig:
-    """Which constraint families to evaluate, and their weights in the total."""
+    """Which constraint families to evaluate; each counts once in the total."""
 
     families: tuple[str, ...] = FAMILIES
-    weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         fams = tuple(self.families)
@@ -60,9 +64,6 @@ class ConstraintConfig:
             raise ValueError(f"unknown constraint families {unknown}; valid: {FAMILIES}")
         object.__setattr__(self, "families", fams)
 
-    def weight(self, family: str) -> float:
-        return float(self.weights.get(family, 1.0))
-
     @property
     def dropped(self) -> tuple[str, ...]:
         return tuple(f for f in FAMILIES if f not in self.families)
@@ -71,9 +72,9 @@ class ConstraintConfig:
 FULL_CONFIG = ConstraintConfig()
 
 
-def relax(families, weights: dict[str, float] | None = None) -> ConstraintConfig:
+def relax(families) -> ConstraintConfig:
     """Configuration evaluating only the given nonempty subset of families."""
-    return ConstraintConfig(tuple(families), dict(weights or {}))
+    return ConstraintConfig(tuple(families))
 
 
 def drop(*families: str) -> ConstraintConfig:
@@ -119,8 +120,8 @@ class ResidualReport:
     """Per-family constraint deviations; pairs are (b = 0, b = 1) values.
 
     Families outside the evaluated configuration are None. ``total`` is the
-    weighted sum over evaluated families and vanishes only when every
-    evaluated component is below 1e-10.
+    sum over evaluated families and vanishes only when every evaluated
+    component is below 1e-10.
     """
 
     half_bit: tuple[float, float] | None
@@ -227,11 +228,10 @@ def _bob_info(parts) -> float:
 
 
 def _total(per_bit, bob_info, config: ConstraintConfig) -> float:
-    """Weighted sum of the active families, in the configuration's order."""
+    """Sum of the active families, in the configuration's order."""
     total = 0.0
     for fam in config.families:
-        val = bob_info if fam == "bob_info" else per_bit[0][fam] + per_bit[1][fam]
-        total += config.weight(fam) * val
+        total += bob_info if fam == "bob_info" else per_bit[0][fam] + per_bit[1][fam]
     return float(total)
 
 
@@ -448,12 +448,13 @@ class _Objective:
         return _total(self.per_bit, self.bob_info, self.config)
 
 
-def _descend(objective, x0: np.ndarray, max_iters: int, step0: float, step_tol: float):
+def _descend(objective, x0: np.ndarray, max_iters: int):
     """Coordinate-wise pattern descent with a shrinking step.
 
     The trace-norm terms are non-smooth at eigenvalue crossings, so no
     gradients: each sweep tries +-step on every coordinate, keeping strict
-    improvements; a sweep without improvement halves the step. ``x`` is
+    improvements; a sweep without improvement halves the step, from
+    ``STEP0`` until it falls below ``STEP_TOL``. ``x`` is
     changed in place, one coordinate per probe, so consecutive calls of
     ``objective`` see vectors that differ in one or two coordinates; the
     search objective reuses everything those coordinates do not touch.
@@ -461,7 +462,7 @@ def _descend(objective, x0: np.ndarray, max_iters: int, step0: float, step_tol: 
     x = x0.copy()
     best = objective(x)
     evals = 1
-    step = step0
+    step = STEP0
     sweeps = 0
     for _ in range(max_iters):
         sweeps += 1
@@ -480,7 +481,7 @@ def _descend(objective, x0: np.ndarray, max_iters: int, step0: float, step_tol: 
                 x[i] = base
         if not improved:
             step *= 0.5
-            if step < step_tol:
+            if step < STEP_TOL:
                 break
     return x, best, evals, sweeps
 
@@ -491,10 +492,6 @@ def search(
     max_iters: int = 60,
     seed: int = 0,
     config: ConstraintConfig = FULL_CONFIG,
-    *,
-    step0: float = 0.3,
-    step_tol: float = 1e-6,
-    dim_cap: int = linalg.DEFAULT_DIM_CAP,
 ) -> FeasibilityReport:
     """Multi-restart derivative-free minimization of the total residual.
 
@@ -512,9 +509,9 @@ def search(
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"dims must be three positive integers, got {dims}")
-    if int(np.prod(dims)) > dim_cap:
+    if int(np.prod(dims)) > linalg.DEFAULT_DIM_CAP:
         raise linalg.DimensionCapError(
-            f"total dimension {int(np.prod(dims))} exceeds cap {dim_cap}"
+            f"total dimension {int(np.prod(dims))} exceeds cap {linalg.DEFAULT_DIM_CAP}"
         )
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be >= 1")
@@ -531,7 +528,7 @@ def search(
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         x0 = rng.standard_normal(n)
-        x, val, evals, sweeps = _descend(objective, x0, max_iters, step0, step_tol)
+        x, val, evals, sweeps = _descend(objective, x0, max_iters)
         evals_total += evals
         sweeps_total += sweeps
         if val < best_val:

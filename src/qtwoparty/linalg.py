@@ -1,8 +1,7 @@
 """Dense linear algebra on small Hilbert spaces.
 
-Everything downstream (state discrimination, parity mixtures, constraint
-residuals) is built from the handful of primitives here: tensor composition,
-partial trace, Hermitian spectral decomposition, and the two standard
+The protocol modules share the primitives here: Hermitian spectral
+decomposition, POVM and state checks, and the two standard
 distinguishability measures
 
     trace distance   D(x, y) = (1/2) Tr|x - y|
@@ -10,7 +9,10 @@ distinguishability measures
 
 Operators are plain numpy arrays (real or complex); the functions are
 dtype-agnostic, and real symmetric input keeps the much faster real LAPACK
-paths. Subsystem ordering is most-significant-left: in ``tensor_product(a, b)``
+paths. Tensor composition and partial trace serve only the dense W
+operators of ``bc.build_w`` and the test suite's oracles; the constraint
+residuals of ``consistency`` take their marginals with their own einsums.
+Subsystem ordering is most-significant-left: in ``tensor_product(a, b)``
 the left factor varies slowest in the row index, matching ``numpy.kron``.
 """
 
@@ -20,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Matrices larger than this are refused by the composition helpers; keeps
-# every eigendecomposition desk-scale.
+# Dimensions above this are refused (tensor composition, ``bc.build_w`` and
+# the feasibility search's dims); keeps every eigendecomposition desk-scale.
 DEFAULT_DIM_CAP = 4096
 
 # Invariant tolerances for the operator carriers.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_EIG_TOL = 1e-9
+EIG_HERMITICITY_ATOL = 1e-8
 PURE_NORM_ATOL = 1e-12
 POVM_COMPLETENESS_ATOL = 1e-10
 
@@ -88,30 +91,31 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor as the most significant subsystem.
 
-    Raises DimensionCapError if the composed row dimension exceeds ``dim_cap``.
+    Raises DimensionCapError if the composed row dimension exceeds
+    ``DEFAULT_DIM_CAP``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(b.real))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("tensor factors must be finite")
     rows = a.shape[0] * b.shape[0]
-    if rows > dim_cap:
+    if rows > DEFAULT_DIM_CAP:
         raise DimensionCapError(
-            f"tensor product dimension {rows} exceeds cap {dim_cap}"
+            f"tensor product dimension {rows} exceeds cap {DEFAULT_DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def tensor_power(a: np.ndarray, n: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold tensor power a (x) a (x) ... (x) a."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
     out = np.asarray(a)
     for _ in range(n - 1):
-        out = tensor_product(out, a, dim_cap=dim_cap)
+        out = tensor_product(out, a)
     return out
 
 
@@ -149,24 +153,24 @@ def partial_trace(rho: np.ndarray, subsystem_dims, keep) -> np.ndarray:
     return reduced.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eig(m: np.ndarray, *, atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
 
-    Rejects input whose hermiticity defect exceeds ``atol``.
+    Rejects input whose hermiticity defect exceeds ``EIG_HERMITICITY_ATOL``.
     """
     m = _as_square(m, "matrix")
     dev = hermiticity_defect(m)
-    if dev > atol:
-        raise ValueError(f"matrix not Hermitian within {atol}: defect {dev:.3e}")
+    if dev > EIG_HERMITICITY_ATOL:
+        raise ValueError(f"matrix not Hermitian within {EIG_HERMITICITY_ATOL}: defect {dev:.3e}")
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def clamp_psd_eigenvalues(w: np.ndarray, *, tol: float = PSD_EIG_TOL) -> np.ndarray:
-    """Zero out negative eigenvalues of magnitude <= tol; larger negatives error."""
+def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Zero out negative eigenvalues down to -PSD_EIG_TOL; larger negatives error."""
     w = np.asarray(w, dtype=float)
-    if w.min(initial=0.0) < -tol:
-        raise ValueError(f"eigenvalue {w.min():.3e} below -{tol}; operator is not PSD")
+    if w.min(initial=0.0) < -PSD_EIG_TOL:
+        raise ValueError(f"eigenvalue {w.min():.3e} below -{PSD_EIG_TOL}; operator is not PSD")
     return np.maximum(w, 0.0)
 
 
@@ -295,13 +299,7 @@ class PovmValidation:
         return self.ok
 
 
-def validate_povm(
-    povm: Povm,
-    *,
-    hermiticity_atol: float = HERMITICITY_ATOL,
-    psd_tol: float = PSD_EIG_TOL,
-    completeness_atol: float = POVM_COMPLETENESS_ATOL,
-) -> PovmValidation:
+def validate_povm(povm: Povm) -> PovmValidation:
     """Report every violated POVM invariant with its magnitude.
 
     Checks each effect for hermiticity and positivity, and the effect sum
@@ -312,14 +310,14 @@ def validate_povm(
     total = np.zeros((povm.dim, povm.dim), dtype=complex)
     for label, m in povm.effects:
         dev = hermiticity_defect(m)
-        if dev > hermiticity_atol:
+        if dev > HERMITICITY_ATOL:
             violations.append(PovmViolation("hermiticity", label, dev))
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -psd_tol:
+        if w[0] < -PSD_EIG_TOL:
             violations.append(PovmViolation("positivity", label, float(-w[0])))
         total += m
     defect = float(np.abs(total - np.eye(povm.dim)).max())
-    if defect > completeness_atol:
+    if defect > POVM_COMPLETENESS_ATOL:
         violations.append(PovmViolation("completeness", "sum", defect))
     return PovmValidation(tuple(violations))
 

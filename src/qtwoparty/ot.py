@@ -23,7 +23,7 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,25 +178,13 @@ def partial_security(params: OtParams | float) -> PartialSecurityPair:
 
 
 @dataclass(frozen=True)
-class OtRoundOutcome:
-    """One round: the transferred bit and the receiver's outcome label.
-
-    Under honest play the label never equals the wrong bit.
-    """
-
-    transferred_bit: int
-    outcome_label: str
-
-
-@dataclass(frozen=True)
 class OtSimulation:
     """Empirical outcome tallies for repeated single-shot rounds.
 
     ``counts[bit][label]`` tallies outcomes given the transferred bit;
     ``expected[bit][label]`` holds the analytic per-round probabilities and
     ``four_sigma(label)`` the matching 4-sigma binomial half-width for the
-    pooled frequency, so callers can judge convergence directly. Per-round
-    records are kept only when the simulation was asked to retain them.
+    pooled frequency, so callers can judge convergence directly.
     """
 
     params: OtParams
@@ -206,7 +194,6 @@ class OtSimulation:
     counts: dict[int, dict[str, int]]
     bit_counts: dict[int, int]
     expected: dict[int, dict[str, float]]
-    rounds: tuple[OtRoundOutcome, ...] | None = None
 
     @property
     def frequencies(self) -> dict[str, float]:
@@ -254,25 +241,18 @@ def simulate_rounds(
     *,
     strategy: str = "honest",
     seed=0,
-    bits: np.ndarray | None = None,
-    keep_rounds: bool = False,
 ) -> OtSimulation:
     """Monte-Carlo rounds of the protocol under one play style.
 
-    Each round draws the transferred bit (uniformly, unless ``bits`` is
-    given) and samples the measurement outcome from the exact per-bit
-    distribution. Deterministic per seed; one private generator per call.
+    Each round draws the transferred bit uniformly and samples the
+    measurement outcome from the exact per-bit distribution. Deterministic
+    per seed; one private generator per call.
     """
     params = _coerce(params)
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     rng = np.random.default_rng(seed)
-    if bits is None:
-        bits_arr = rng.integers(0, 2, size=n_rounds)
-    else:
-        bits_arr = np.asarray(bits, dtype=int)
-        if bits_arr.shape != (n_rounds,):
-            raise ValueError(f"bits must have shape ({n_rounds},)")
+    bits_arr = rng.integers(0, 2, size=n_rounds)
 
     dists = _strategy_distributions(params, strategy)
     probs = {
@@ -295,12 +275,6 @@ def simulate_rounds(
         }
         for b in (0, 1)
     }
-    rounds = None
-    if keep_rounds:
-        rounds = tuple(
-            OtRoundOutcome(int(bits_arr[i]), OUTCOME_LABELS[outcome_idx[i]])
-            for i in range(n_rounds)
-        )
 
     return OtSimulation(
         params=params,
@@ -310,5 +284,4 @@ def simulate_rounds(
         counts=counts,
         bit_counts={b: int((bits_arr == b).sum()) for b in (0, 1)},
         expected=dists,
-        rounds=rounds,
     )

@@ -37,7 +37,7 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class QkdConfig:
-    """Run parameters; the sender's detector efficiency is pinned at 1."""
+    """Run parameters; the sender's detectors are perfectly efficient."""
 
     n_pairs: int
     alice_settings: tuple[float, ...] = (0.0, math.pi / 4)
@@ -45,7 +45,6 @@ class QkdConfig:
     visibility: float = 1.0
     channel_transmission_honest: float = 0.4
     channel_transmission_eve: float = 0.8
-    alice_detector_eff: float = 1.0
     bob_detector_eff: float = 0.8
     attack: str = ATTACK_NONE
     seed: int = 0
@@ -64,8 +63,6 @@ class QkdConfig:
             val = float(getattr(self, name))
             if not 0.0 < val <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {val}")
-        if float(self.alice_detector_eff) != 1.0:
-            raise ValueError("alice_detector_eff is fixed at 1.0 in this model")
         if self.attack not in (ATTACK_NONE, ATTACK_DEMON):
             raise ValueError(f"attack must be {ATTACK_NONE!r} or {ATTACK_DEMON!r}")
 
@@ -110,9 +107,9 @@ class QkdRunStats:
     """Post-selected statistics of one run.
 
     Correlators, their standard errors and the marginals are computed over
-    coincident trials only. ``chsh_value``/``chsh_stderr`` use the default
-    cell assignment (settings 0 and 1 on each side, sign pattern +,-,+,+)
-    and are None when either side has fewer than two settings.
+    coincident trials only. ``chsh_value``/``chsh_stderr`` combine settings
+    0 and 1 on each side with sign pattern +,-,+,+ (see ``chsh``) and are
+    None when either side has fewer than two settings.
     ``eve_knowledge_fraction`` is None for honest runs.
     """
 
@@ -252,24 +249,18 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     return stats
 
 
-DEFAULT_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-DEFAULT_SIGNS = (1.0, -1.0, 1.0, 1.0)
+# (setting cell, sign) terms of the CHSH combination
+_CHSH_TERMS = (((0, 0), 1.0), ((0, 1), -1.0), ((1, 0), 1.0), ((1, 1), 1.0))
 
 
-def chsh(
-    stats: QkdRunStats,
-    cells=DEFAULT_CELLS,
-    signs=DEFAULT_SIGNS,
-) -> tuple[float, float]:
-    """Bell combination S = sum_k sign_k E(cell_k) with propagated binomial error.
+def chsh(stats: QkdRunStats) -> tuple[float, float]:
+    """Bell combination S = E00 - E01 + E10 + E11 with propagated binomial error.
 
-    Raises InsufficientDataError when a designated cell has no coincidences.
+    Raises InsufficientDataError when one of the four cells has no coincidences.
     """
-    if len(cells) != len(signs):
-        raise ValueError("cells and signs must have equal length")
     s = 0.0
     var = 0.0
-    for (i, j), sign in zip(cells, signs):
+    for (i, j), sign in _CHSH_TERMS:
         if stats.cell_counts[i, j] == 0:
             raise InsufficientDataError(f"no coincident trials in setting cell ({i}, {j})")
         s += sign * float(stats.correlators[i, j])

@@ -17,14 +17,13 @@ PI6 = math.pi / 6
 D_2_2_PI6 = 0.9095214486296651
 
 
-def _mixture_enumeration(m: int, theta: float, parity: str) -> np.ndarray:
-    """Brute-force oracle: literal sum over all matching bit strings."""
+def _mixture_enumeration(m: int, theta: float, parity: int) -> np.ndarray:
+    """Brute-force oracle: literal sum over all bit strings of the given parity."""
     states = ot.make_states(theta)
-    want = 0 if parity == bc.EVEN else 1
     acc = np.zeros((2**m, 2**m))
     count = 0
     for s in itertools.product((0, 1), repeat=m):
-        if sum(s) % 2 != want:
+        if sum(s) % 2 != parity:
             continue
         op = np.array([[1.0]])
         for bit in s:
@@ -36,38 +35,42 @@ def _mixture_enumeration(m: int, theta: float, parity: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parity mixtures
+# parity mixtures: W at N = 1
 # ---------------------------------------------------------------------------
 
 
+def _mixture(m: int, theta: float, parity: int) -> np.ndarray:
+    return bc.build_w(bc.BcParams(m, 1, theta), parity)
+
+
 def test_mixture_m1_even_is_signal_projector():
-    mix = bc.build_parity_mixture(1, PI6, bc.EVEN)
+    mix = _mixture(1, PI6, 0)
     psi0, _ = ot.make_states(PI6)
-    assert np.abs(mix.operator - linalg.projector(psi0)).max() < 1e-14
+    assert np.abs(mix - linalg.projector(psi0)).max() < 1e-14
 
 
 def test_mixture_m2_even_two_terms():
-    mix = bc.build_parity_mixture(2, PI6, bc.EVEN)
+    mix = _mixture(2, PI6, 0)
     psi0, psi1 = ot.make_states(PI6)
     expected = 0.5 * (
         np.kron(linalg.projector(psi0), linalg.projector(psi0))
         + np.kron(linalg.projector(psi1), linalg.projector(psi1))
     )
-    assert np.abs(mix.operator - expected).max() < 1e-14
-    assert abs(np.trace(mix.operator) - 1.0) < 1e-12
+    assert np.abs(mix - expected).max() < 1e-14
+    assert abs(np.trace(mix) - 1.0) < 1e-12
 
 
 def test_mixture_m3_odd_trace_and_rank():
-    mix = bc.build_parity_mixture(3, PI6, bc.ODD)
-    assert abs(np.trace(mix.operator) - 1.0) < 1e-12
-    w, _ = linalg.hermitian_eig(mix.operator)
+    mix = _mixture(3, PI6, 1)
+    assert abs(np.trace(mix) - 1.0) < 1e-12
+    w, _ = linalg.hermitian_eig(mix)
     assert int((w > 1e-12).sum()) <= 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_mixture_against_enumeration_oracle(m):
-    for parity in (bc.EVEN, bc.ODD):
-        fast = bc.build_parity_mixture(m, PI6, parity).operator
+    for parity in (0, 1):
+        fast = _mixture(m, PI6, parity)
         slow = _mixture_enumeration(m, PI6, parity)
         assert np.abs(fast - slow).max() < 1e-12
 
@@ -76,23 +79,21 @@ def test_mixture_bitflip_symmetry():
     # rho_E and rho_O share trace and purity for every (m, theta)
     for m in (1, 2, 3, 4):
         for theta in (PI6, math.pi / 8, math.pi / 5):
-            e = bc.build_parity_mixture(m, theta, bc.EVEN).operator
-            o = bc.build_parity_mixture(m, theta, bc.ODD).operator
+            e = _mixture(m, theta, 0)
+            o = _mixture(m, theta, 1)
             assert abs(np.trace(e) - np.trace(o)) < 1e-12
             assert abs(np.trace(e @ e) - np.trace(o @ o)) < 1e-12
 
 
 def test_mixture_validates_as_density():
-    linalg.check_density(bc.build_parity_mixture(4, PI6, bc.EVEN).operator)
+    linalg.check_density(_mixture(4, PI6, 0))
 
 
 def test_mixture_cap_and_argument_errors():
     with pytest.raises(linalg.DimensionCapError):
-        bc.build_parity_mixture(13, PI6, bc.EVEN)
+        _mixture(13, PI6, 0)
     with pytest.raises(ValueError):
-        bc.build_parity_mixture(0, PI6, bc.EVEN)
-    with pytest.raises(ValueError):
-        bc.build_parity_mixture(2, PI6, "both")
+        _mixture(2, PI6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +104,16 @@ def test_mixture_cap_and_argument_errors():
 @pytest.mark.parametrize("m", list(range(1, 9)))
 def test_mixture_fidelity_matches_dense(m):
     for theta in (PI6, math.pi / 8, 0.7, math.pi / 4):
-        e = bc.build_parity_mixture(m, theta, bc.EVEN).operator
-        o = bc.build_parity_mixture(m, theta, bc.ODD).operator
+        e = _mixture(m, theta, 0)
+        o = _mixture(m, theta, 1)
         assert abs(bc.mixture_fidelity(m, theta) - linalg.fidelity(e, o)) < 1e-10
 
 
 @pytest.mark.parametrize("m", list(range(1, 9)))
 def test_mixture_trace_distance_matches_dense(m):
     for theta in (PI6, math.pi / 8, 0.7):
-        e = bc.build_parity_mixture(m, theta, bc.EVEN).operator
-        o = bc.build_parity_mixture(m, theta, bc.ODD).operator
+        e = _mixture(m, theta, 0)
+        o = _mixture(m, theta, 1)
         assert abs(bc.mixture_trace_distance(m, theta) - linalg.trace_distance(e, o)) < 1e-10
         assert abs(bc.mixture_trace_distance(m, theta) - math.sin(2 * theta) ** m) < 1e-14
 
@@ -139,7 +140,7 @@ def test_mixtures_converge_as_theta_vanishes():
 def test_build_w_single_copy():
     params = bc.BcParams(2, 1, PI6)
     w = bc.build_w(params, 1)
-    assert np.abs(w - bc.build_parity_mixture(2, PI6, bc.ODD).operator).max() < 1e-14
+    assert np.abs(w - _mixture_enumeration(2, PI6, 1)).max() < 1e-14
 
 
 def test_build_w_unit_trace():
@@ -174,7 +175,7 @@ def test_compute_f_pure_oracle_1_1():
 
 def test_compute_f_multiplicativity_vs_direct_1_2():
     params = bc.BcParams(1, 2, PI6)
-    f = bc.compute_f(params, cross_check=True)
+    f = bc.compute_f(params)
     assert abs(f - 0.25) < 1e-12
     direct = linalg.fidelity(bc.build_w(params, 0), bc.build_w(params, 1))
     assert abs(f - direct) < 1e-8
@@ -203,8 +204,8 @@ def test_compute_d_regression_2_2():
     assert d.exact
     assert abs(d.value - D_2_2_PI6) < 1e-12
     # enumeration oracle reproduces the frozen baseline
-    w0 = np.kron(_mixture_enumeration(2, PI6, bc.EVEN), _mixture_enumeration(2, PI6, bc.EVEN))
-    w1 = np.kron(_mixture_enumeration(2, PI6, bc.ODD), _mixture_enumeration(2, PI6, bc.ODD))
+    w0 = np.kron(_mixture_enumeration(2, PI6, 0), _mixture_enumeration(2, PI6, 0))
+    w1 = np.kron(_mixture_enumeration(2, PI6, 1), _mixture_enumeration(2, PI6, 1))
     brute = 0.5 * float(np.abs(np.linalg.eigvalsh(w0 - w1)).sum())
     assert abs(brute - D_2_2_PI6) < 1e-12
 
@@ -382,10 +383,3 @@ def test_sweep_computes_each_quantity_once(monkeypatch):
     sec = ot.partial_security(PI6)
     for rep in rows:
         assert rep.classical == bc.classical_bounds(sec.p, sec.q, rep.params.m, rep.params.n)
-
-
-def test_sweep_refuses_interval_when_disallowed():
-    with pytest.raises(linalg.DimensionCapError):
-        bc.sweep(PI6, [5], [4], allow_interval=False)
-    rows = bc.sweep(PI6, [5], [4], allow_interval=True)
-    assert len(rows) == 1 and not rows[0].d.exact

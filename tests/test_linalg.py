@@ -43,10 +43,20 @@ def test_tensor_trace_multiplies():
 
 
 def test_tensor_dim_cap():
+    assert linalg.DEFAULT_DIM_CAP == 4096
     with pytest.raises(linalg.DimensionCapError):
-        linalg.tensor_product(np.eye(64), np.eye(128), dim_cap=4096)
+        linalg.tensor_product(np.eye(64), np.eye(128))
     # the boundary itself is allowed
-    linalg.tensor_product(np.eye(64), np.eye(64), dim_cap=4096)
+    linalg.tensor_product(np.eye(64), np.eye(64))
+
+
+def test_tensor_rejects_non_finite_imaginary_part():
+    bad = np.array([[1, 0], [0, complex(0, np.nan)]])
+    for a, b in ((bad, np.eye(2)), (np.eye(2), bad)):
+        with pytest.raises(ValueError):
+            linalg.tensor_product(a, b)
+    with pytest.raises(ValueError):
+        linalg.tensor_product(np.array([[complex(1, np.inf)]]), np.eye(2))
 
 
 def test_tensor_power():
