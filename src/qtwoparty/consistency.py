@@ -48,6 +48,13 @@ ZERO_COMPONENT_TOL = 1e-10
 STEP0 = 0.3
 STEP_TOL = 1e-6
 
+# Restarts descended together in one lockstep block, so the search's working
+# memory does not grow with the number of restarts. Where a block of that
+# many would hold more than SEARCH_BLOCK_BYTES of the largest per-probe
+# operator, at dimension products near the cap, blocks are smaller.
+SEARCH_BLOCK = 64
+SEARCH_BLOCK_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class ConstraintConfig:
@@ -142,97 +149,103 @@ class ResidualReport:
         return out
 
 
-def _bob_marginal(psi3: np.ndarray) -> np.ndarray:
-    """rho^B = Tr_AU |psi><psi| from the (dA, dB, dU)-shaped state."""
-    return np.einsum("abu,acu->bc", psi3, psi3.conj())
-
-
-def _bu_marginal(psi3: np.ndarray) -> np.ndarray:
-    """rho^BU = Tr_A |psi><psi|, flattened to a (dB*dU) square matrix."""
-    db, du = psi3.shape[1], psi3.shape[2]
-    rho = np.einsum("abu,acw->bucw", psi3, psi3.conj())
-    return rho.reshape(db * du, db * du)
-
-
-def _au_conditional(psi3: np.ndarray, effect: np.ndarray) -> np.ndarray:
-    """Tr_B[(I_A (x) E (x) I_U)|psi><psi|] as an operator on A (x) U."""
-    da, db, du = psi3.shape
-    op = np.einsum("bc,acu,ebw->auew", effect, psi3, psi3.conj())
-    return op.reshape(da * du, da * du)
-
-
 def residual(
     candidate: TripartiteCandidate,
     config: ConstraintConfig = FULL_CONFIG,
 ) -> ResidualReport:
     """Constraint residuals of a candidate under the given configuration."""
-    parts = tuple(_state_part(psi.reshape(candidate.dims), config)
+    parts = tuple(_state_part(psi.reshape(1, *candidate.dims), config)
                   for psi in (candidate.psi0, candidate.psi1))
-    effects = tuple(candidate.povm.effect(lab) for lab in (ot.BIT0, ot.BIT1, ot.HASH))
+    effects = np.stack([candidate.povm.effect(lab) for lab in (ot.BIT0, ot.BIT1, ot.HASH)])[None]
     per_bit = tuple(_bit_values(parts[b], effects, b, config) for b in (0, 1))
     bob_info = _bob_info(parts) if "bob_info" in config.families else None
     values = {
-        fam: (per_bit[0][fam], per_bit[1][fam]) if fam in per_bit[0] else None
+        fam: (float(per_bit[0][fam][0]), float(per_bit[1][fam][0])) if fam in per_bit[0] else None
         for fam in _BIT_FAMILIES
     }
-    values["bob_info"] = bob_info
-    return ResidualReport(config=config, total=_total(per_bit, bob_info, config), **values)
+    values["bob_info"] = None if bob_info is None else float(bob_info[0])
+    total = float(_total(per_bit, bob_info, config)[0])
+    return ResidualReport(config=config, total=total, **values)
 
 
-# The evaluation below works on arrays that are already valid: ``residual``
-# reaches it through a checked candidate, and the search objective through
-# the decoders, whose outputs are valid by construction. Both run the same
-# operations in the same order, so they give the same floats.
+# The evaluation below works on stacks of arrays that are already valid, one
+# candidate per leading index: ``residual`` reaches it with a stack of one
+# checked candidate, and the search with stacks of decoded probes, which are
+# valid by construction. Each stacked operation gives, per candidate, the
+# same bytes as the same operation on that candidate alone, so a value does
+# not depend on the stack it was computed in. Only forms checked to have
+# that property are used (tests/test_consistency.py pins them): batched
+# matmul, ``trace`` over the last two axes, ``eigh``/``eigvalsh`` and the
+# einsum contractions below. The einsum trace ``kii->k`` and
+# ``np.linalg.norm(axis=1)`` do not have it.
 
 _BIT_FAMILIES = ("half_bit", "half_hash", "wrong_bit", "alice_blind")
 _MARGINAL_FAMILIES = ("half_bit", "half_hash", "wrong_bit")
 
 
 def _state_part(psi3: np.ndarray, config: ConstraintConfig) -> tuple:
-    """(psi3, rho^B, rho^BU) of one (dA, dB, dU)-shaped state.
+    """(psi3, rho^B, rho^BU) of a stack of (dA, dB, dU)-shaped states.
 
-    Each marginal is None when no active family needs it; they depend on
-    the state alone, so the search reuses them across POVM moves.
+    rho^B = Tr_AU |psi><psi| and rho^BU = Tr_A |psi><psi|, the latter
+    flattened to (dB*dU) square matrices. Each marginal is None when no
+    active family needs it; they depend on the state alone, so the search
+    reuses them across POVM moves.
     """
     active = config.families
-    rho_b = _bob_marginal(psi3) if any(f in active for f in _MARGINAL_FAMILIES) else None
-    rho_bu = _bu_marginal(psi3) if "bob_info" in active else None
+    k, _, db, du = psi3.shape
+    rho_b = rho_bu = None
+    if any(f in active for f in _MARGINAL_FAMILIES):
+        rho_b = np.einsum("kabu,kacu->kbc", psi3, psi3.conj())
+    if "bob_info" in active:
+        rho_bu = np.einsum("kabu,kacw->kbucw", psi3, psi3.conj()).reshape(k, db * du, db * du)
     return psi3, rho_b, rho_bu
 
 
-def _bit_values(part: tuple, effects, b: int, config: ConstraintConfig) -> dict:
-    """Values of the active per-bit families for psi_b.
+def _au_conditional(psi3: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """Tr_B[(I_A (x) E (x) I_U)|psi><psi|] as operators on A (x) U, one per stacked state."""
+    k, da, _, du = psi3.shape
+    op = np.einsum("kbc,kacu,kebw->kauew", effect, psi3, psi3.conj())
+    return op.reshape(k, da * du, da * du)
 
-    ``part`` comes from ``_state_part``; ``effects`` are the (bit0, bit1,
-    hash) effects on B.
+
+def _bit_values(part: tuple, effects: np.ndarray, b: int, config: ConstraintConfig) -> dict:
+    """Values of the active per-bit families for psi_b, one per stacked candidate.
+
+    ``part`` comes from ``_state_part``; ``effects`` stacks the (bit0, bit1,
+    hash) effects on B of each candidate.
     """
     psi3, rho, _ = part
     active = config.families
     out = {}
-    if "half_bit" in active:
-        out["half_bit"] = abs(float((rho @ effects[b]).trace().real) - 0.5)
-    if "half_hash" in active:
-        out["half_hash"] = abs(float((rho @ effects[2]).trace().real) - 0.5)
-    if "wrong_bit" in active:
-        out["wrong_bit"] = max(0.0, float((rho @ effects[1 - b]).trace().real))
+    if rho is not None:
+        # Tr(rho E) for E = bit0, bit1, hash
+        p = (rho[:, None] @ effects).trace(axis1=-2, axis2=-1).real
+        if "half_bit" in active:
+            out["half_bit"] = np.abs(p[:, b] - 0.5)
+        if "half_hash" in active:
+            out["half_hash"] = np.abs(p[:, 2] - 0.5)
+        if "wrong_bit" in active:
+            out["wrong_bit"] = np.maximum(0.0, p[:, 1 - b])
     if "alice_blind" in active:
-        out["alice_blind"] = linalg.trace_norm(
-            _au_conditional(psi3, effects[b]) - _au_conditional(psi3, effects[2])
+        out["alice_blind"] = linalg.trace_norms(
+            _au_conditional(psi3, effects[:, b]) - _au_conditional(psi3, effects[:, 2])
         )
     return out
 
 
-def _bob_info(parts) -> float:
+def _bob_info(parts) -> np.ndarray:
     """|D(rho_0^BU, rho_1^BU) - 1/2| from the two states' parts."""
-    return abs(linalg.trace_distance(parts[0][2], parts[1][2]) - 0.5)
+    # linalg.trace_distance, clamp included, per pair
+    d = 0.5 * linalg.trace_norms(parts[0][2] - parts[1][2])
+    return np.abs(np.minimum(np.maximum(d, 0.0), 1.0) - 0.5)
 
 
-def _total(per_bit, bob_info, config: ConstraintConfig) -> float:
+def _total(per_bit, bob_info, config: ConstraintConfig) -> np.ndarray:
     """Sum of the active families, in the configuration's order."""
     total = 0.0
     for fam in config.families:
-        total += bob_info if fam == "bob_info" else per_bit[0][fam] + per_bit[1][fam]
-    return float(total)
+        total = total + (bob_info if fam == "bob_info" else per_bit[0][fam] + per_bit[1][fam])
+    return total
 
 
 def usd_witness(dims=(2, 2, 2), theta: float = math.pi / 6) -> TripartiteCandidate:
@@ -338,44 +351,50 @@ def candidate_from_vector(x: np.ndarray, dims: tuple[int, int, int]) -> Triparti
     x = np.asarray(x, dtype=float)
     if x.shape != (_n_params(dims),):
         raise ValueError(f"parameter vector must have length {_n_params(dims)}")
-    seg0, seg1, povm_seg = _segments(x, dims)
-    effects = _decode_povm(povm_seg, dims[1])
+    _, _, (lo, _) = _segment_bounds(dims)
+    psi0, psi1 = _decode_states(x[:lo].reshape(2, -1))
+    effects = _decode_povms(x[None, lo:], dims[1])[0]
     povm = linalg.Povm(((ot.BIT0, effects[0]), (ot.BIT1, effects[1]), (ot.HASH, effects[2])))
-    return TripartiteCandidate(
-        dims=dims, psi0=_decode_state(seg0), psi1=_decode_state(seg1), povm=povm
-    )
+    return TripartiteCandidate(dims=dims, psi0=psi0, psi1=psi1, povm=povm)
 
 
-def _segments(x: np.ndarray, dims: tuple[int, int, int]):
-    """The psi0, psi1 and POVM parts of a parameter vector."""
+def _segment_bounds(dims: tuple[int, int, int]) -> tuple:
+    """(start, stop) of the psi0, psi1 and POVM parts of a parameter vector."""
     total = dims[0] * dims[1] * dims[2]
-    return x[: 2 * total], x[2 * total : 4 * total], x[4 * total :]
+    return (0, 2 * total), (2 * total, 4 * total), (4 * total, _n_params(dims))
 
 
-def _decode_state(seg: np.ndarray) -> np.ndarray:
-    """Normalized complex state from its real and imaginary halves."""
-    total = seg.size // 2
-    v = seg[:total] + 1j * seg[total:]
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        v = np.zeros(total, dtype=complex)
-        v[0] = 1.0
-        nrm = 1.0
+def _decode_states(segs: np.ndarray) -> np.ndarray:
+    """Normalized complex states from rows of real and imaginary halves.
+
+    The squared norm is taken as ``np.linalg.norm`` takes it, from dot
+    products of the real and the imaginary parts, here as batched matmuls.
+    A row of norm below 1e-12 decodes to the first basis vector.
+    """
+    total = segs.shape[1] // 2
+    v = segs[:, :total] + 1j * segs[:, total:]
+    re, im = v.real[:, None], v.imag[:, None]
+    nrm = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    null = nrm[:, 0] < 1e-12
+    if null.any():
+        v[null] = 0.0
+        v[null, 0] = 1.0
+        nrm[null] = 1.0
     return v / nrm
 
 
-def _decode_povm(seg: np.ndarray, db: int) -> np.ndarray:
-    """The (bit0, bit1, hash) effects, stacked, from the 6 * dB^2 POVM parameters."""
-    g = seg.reshape(3, 2, db, db)
-    gs = g[:, 0] + 1j * g[:, 1]
-    grams = gs.conj().transpose(0, 2, 1) @ gs
-    s = grams[0] + grams[1] + grams[2]
+def _decode_povms(segs: np.ndarray, db: int) -> np.ndarray:
+    """The stacked (bit0, bit1, hash) effects from rows of 6 * dB^2 POVM parameters."""
+    g = segs.reshape(-1, 3, 2, db, db)
+    gs = g[:, :, 0] + 1j * g[:, :, 1]
+    grams = gs.conj().transpose(0, 1, 3, 2) @ gs
+    s = grams[:, 0] + grams[:, 1] + grams[:, 2]
     w, v = np.linalg.eigh(s)
-    floor = max(float(w[-1]), 1.0) * 1e-14
-    inv_sqrt = (v / np.sqrt(np.maximum(w, floor))) @ v.conj().T
-    effects = inv_sqrt @ grams @ inv_sqrt
+    floor = np.maximum(w[:, -1:], 1.0) * 1e-14
+    inv_sqrt = (v / np.sqrt(np.maximum(w, floor))[:, None]) @ v.conj().transpose(0, 2, 1)
+    effects = inv_sqrt[:, None] @ grams @ inv_sqrt[:, None]
     # symmetrize away matmul round-off so the Povm invariants hold crisply
-    return (effects + effects.conj().transpose(0, 2, 1)) / 2
+    return (effects + effects.conj().transpose(0, 1, 3, 2)) / 2
 
 
 @dataclass(frozen=True)
@@ -406,84 +425,159 @@ class FeasibilityReport:
         }
 
 
-class _Objective:
-    """Total residual of a raw parameter vector, without building a candidate.
+class _Batch:
+    """Decoded parts and values of a stack of points, one per restart.
 
-    Returns exactly ``residual(candidate_from_vector(x, dims), config).total``:
-    both run the same helpers on the same arrays. Descent changes one
-    coordinate per probe, so consecutive vectors mostly differ in one of the
-    psi0, psi1 and POVM segments. A call decodes only the segments whose
-    bytes changed since the previous call. A state move re-scores that bit's
-    terms and recomputes ``bob_info``; a POVM move re-scores both bits
-    against the kept states and marginals and keeps ``bob_info``.
+    Holds, per point, its decoded states and marginals, effects, per-bit
+    values, ``bob_info`` and total. ``fix`` picks a segment (0 and 1 for
+    psi0 and psi1, 2 for the POVM) and the points whose probes will move
+    it; ``score`` then recomputes only that segment for each probe, against
+    the points' cached rest, and ``keep`` makes chosen probes the new
+    points. A state move re-scores that bit's terms and ``bob_info``; a
+    POVM move re-scores both bits and keeps ``bob_info``.
     """
 
-    def __init__(self, dims: tuple[int, int, int], config: ConstraintConfig):
+    def __init__(self, x: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfig):
         self.dims = dims
         self.config = config
-        self.keys = [None, None, None]  # raw bytes of the psi0, psi1 and POVM segments
-        self.parts = [None, None]
-        self.effects = None
-        self.per_bit = [None, None]
-        self.bob_info = None
+        self.with_bob = "bob_info" in config.families
+        bounds = _segment_bounds(dims)
+        self.parts = [_state_part(_decode_states(x[:, lo:hi]).reshape(-1, *dims), config)
+                      for lo, hi in bounds[:2]]
+        self.effects = _decode_povms(x[:, bounds[2][0] :], dims[1])
+        self.per_bit = [_bit_values(self.parts[b], self.effects, b, config) for b in (0, 1)]
+        self.bob = _bob_info(self.parts) if self.with_bob else None
+        self.total = _total(self.per_bit, self.bob, config)
 
-    def __call__(self, x: np.ndarray) -> float:
-        segs = _segments(x, self.dims)
-        keys = [seg.tobytes() for seg in segs]
-        povm_moved = keys[2] != self.keys[2]
-        if povm_moved:
-            self.effects = _decode_povm(segs[2], self.dims[1])
-        state_moved = False
-        for b in (0, 1):
-            if keys[b] != self.keys[b]:
-                psi3 = _decode_state(segs[b]).reshape(self.dims)
-                self.parts[b] = _state_part(psi3, self.config)
-                state_moved = True
-            elif not povm_moved:
-                continue
-            self.per_bit[b] = _bit_values(self.parts[b], self.effects, b, self.config)
-        if state_moved and "bob_info" in self.config.families:
-            self.bob_info = _bob_info(self.parts)
-        self.keys = keys
-        return _total(self.per_bit, self.bob_info, self.config)
+    def fix(self, seg: int, rows: np.ndarray) -> None:
+        """Score the next probes as moves of segment ``seg`` of the points ``rows``."""
+        self.seg = seg
+        if seg < 2:
+            other = 1 - seg
+            self.fixed = (
+                self.effects[rows],
+                {f: v[rows] for f, v in self.per_bit[other].items()},
+                (None, None, self.parts[other][2][rows] if self.with_bob else None),
+            )
+        else:
+            # bob_info does not see the POVM
+            self.fixed = (
+                [(psi3[rows], None if rho is None else rho[rows], None)
+                 for psi3, rho, _ in self.parts],
+                self.bob[rows] if self.with_bob else None,
+            )
+
+    def score(self, probes: np.ndarray) -> np.ndarray:
+        """Totals of the fixed points with their segment replaced by the rows of ``probes``."""
+        seg, config = self.seg, self.config
+        if seg < 2:
+            effects, other_bits, other_part = self.fixed
+            moved = _state_part(_decode_states(probes).reshape(-1, *self.dims), config)
+            per_bit = [other_bits, other_bits]
+            per_bit[seg] = _bit_values(moved, effects, seg, config)
+            parts = [other_part, other_part]
+            parts[seg] = moved
+            bob = _bob_info(parts) if self.with_bob else None
+        else:
+            parts, bob = self.fixed
+            moved = _decode_povms(probes, self.dims[1])
+            per_bit = [_bit_values(parts[b], moved, b, config) for b in (0, 1)]
+        total = _total(per_bit, bob, config)
+        self.scored = (moved, per_bit, bob, total)
+        return total
+
+    def keep(self, points: np.ndarray, taken: np.ndarray) -> None:
+        """Make the last scored probes ``taken`` the new ``points``."""
+        moved, per_bit, bob, total = self.scored
+        self.total[points] = total[taken]
+        if self.seg < 2:
+            for a, new in zip(self.parts[self.seg], moved):
+                if a is not None:
+                    a[points] = new[taken]
+            kept_bits = (self.seg,)
+            if self.with_bob:
+                self.bob[points] = bob[taken]
+        else:
+            self.effects[points] = moved[taken]
+            kept_bits = (0, 1)
+        for b in kept_bits:
+            for fam, v in self.per_bit[b].items():
+                v[points] = per_bit[b][fam][taken]
 
 
-def _descend(objective, x0: np.ndarray, max_iters: int):
-    """Coordinate-wise pattern descent with a shrinking step.
+def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfig,
+             max_iters: int):
+    """Coordinate-wise pattern descent of a block of restarts, run in lockstep.
 
-    The trace-norm terms are non-smooth at eigenvalue crossings, so no
-    gradients: each sweep tries +-step on every coordinate, keeping strict
+    Each row of ``x0`` starts one restart. The trace-norm terms are
+    non-smooth at eigenvalue crossings, so no gradients: each sweep tries
+    +step, then -step, on every coordinate in turn, keeping strict
     improvements; a sweep without improvement halves the step, from
-    ``STEP0`` until it falls below ``STEP_TOL``. ``x`` is
-    changed in place, one coordinate per probe, so consecutive calls of
-    ``objective`` see vectors that differ in one or two coordinates; the
-    search objective reuses everything those coordinates do not touch.
+    ``STEP0`` until it falls below ``STEP_TOL``, where that restart stops.
+    Step, sweep count, evaluation count and stopping are per restart.
+
+    Every live restart probes the same coordinate at once, so each batch
+    moves one segment and ``_Batch`` recomputes only that segment. The
+    +step and -step probes of a coordinate go through one batch; a -step
+    value is used only where +step did not improve. ``evaluations`` counts
+    the probes a descent of one restart alone would make: one where +step
+    improved, else two, plus one for the starting point. Each probe's value
+    is the float ``residual`` gives for its decoded candidate, so every
+    restart follows the path it would follow alone.
+
+    Returns the final points and, per restart, the best value and the
+    evaluation and sweep counts.
     """
-    x = x0.copy()
-    best = objective(x)
-    evals = 1
-    step = STEP0
-    sweeps = 0
+    x = np.array(x0, dtype=float)
+    count = x.shape[0]
+    batch = _Batch(x, dims, config)
+    best = batch.total  # kept up to date by batch.keep
+    evals = np.ones(count, dtype=np.int64)
+    sweeps = np.zeros(count, dtype=np.int64)
+    step = np.full(count, STEP0)
+    live = np.arange(count)
     for _ in range(max_iters):
-        sweeps += 1
-        improved = False
-        for i in range(x.size):
-            base = x[i]
-            for delta in (step, -step):
-                x[i] = base + delta
-                val = objective(x)
-                evals += 1
-                if val < best - 1e-15:
-                    best = val
-                    improved = True
-                    base = x[i]
-                    break
-                x[i] = base
-        if not improved:
-            step *= 0.5
-            if step < STEP_TOL:
-                break
+        if not live.size:
+            break
+        sweeps[live] += 1
+        improved = np.zeros(count, dtype=bool)
+        m = live.size
+        rows = np.concatenate([live, live])  # the +step probes, then the -step probes
+        deltas = np.concatenate([step[live], -step[live]])
+        for seg, (lo, hi) in enumerate(_segment_bounds(dims)):
+            batch.fix(seg, rows)
+            for i in range(lo, hi):
+                probes = x[rows, lo:hi]
+                probes[:, i - lo] += deltas
+                vals = batch.score(probes)
+                bar = best[live] - 1e-15
+                up = vals[:m] < bar
+                down = ~up & (vals[m:] < bar)
+                evals[live] += 2 - up
+                accepted = up | down
+                if not accepted.any():
+                    continue
+                taken = np.flatnonzero(accepted) + m * down[accepted]
+                points = live[accepted]
+                x[points, i] = probes[taken, i - lo]
+                improved[points] = True
+                batch.keep(points, taken)
+        stalled = live[~improved[live]]
+        step[stalled] *= 0.5
+        live = live[~(step[live] < STEP_TOL)]
     return x, best, evals, sweeps
+
+
+def _block_size(dims: tuple[int, int, int]) -> int:
+    """Restarts per lockstep block at these dims.
+
+    ``SEARCH_BLOCK``, or fewer where the largest operator of each +step and
+    -step probe (rho^BU or an A (x) U conditional) would exceed
+    ``SEARCH_BLOCK_BYTES`` over the block.
+    """
+    da, db, du = dims
+    probe_bytes = 2 * 16 * max(da * du, db * du) ** 2
+    return max(1, min(SEARCH_BLOCK, SEARCH_BLOCK_BYTES // probe_bytes))
 
 
 def search(
@@ -500,11 +594,17 @@ def search(
     minimum is reduced in restart order. Non-convergence is not an error;
     the best point found is reported.
 
-    Arguments are checked here, once. The descent scores raw vectors with
-    ``_Objective``, which checks nothing per call and keeps, across calls
-    and restarts, what a move did not change. Only the best point goes
-    through ``candidate_from_vector`` and ``residual``, with their checks,
-    to give ``best_report``.
+    The restarts run in blocks of at most ``SEARCH_BLOCK``, each block in
+    lockstep through ``_descend``, so memory does not grow with the number
+    of restarts. Restarts are independent, so blocks change no trajectory.
+    ``evaluations`` and ``sweeps`` add up the per-restart counts of
+    ``_descend``; ``evaluations`` counts the probes each restart would score
+    alone, not the -step probes scored beside a +step probe that improved.
+
+    Arguments are checked here, once. The descent scores raw vectors and
+    checks nothing per probe. Only the best point goes through
+    ``candidate_from_vector`` and ``residual``, with their checks, to give
+    ``best_report``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
@@ -516,25 +616,26 @@ def search(
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be >= 1")
 
-    objective = _Objective(dims, config)
-
     n = _n_params(dims)
-    children = np.random.SeedSequence(seed).spawn(restarts)
+    block = _block_size(dims)
+    # spawning in blocks gives the same children as spawning all at once
+    seeds = np.random.SeedSequence(seed)
     best_val = math.inf
     best_x = None
     best_restart = -1
     evals_total = 0
     sweeps_total = 0
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        x0 = rng.standard_normal(n)
-        x, val, evals, sweeps = _descend(objective, x0, max_iters)
-        evals_total += evals
-        sweeps_total += sweeps
-        if val < best_val:
-            best_val = val
-            best_x = x
-            best_restart = r
+    for first in range(0, restarts, block):
+        children = seeds.spawn(min(block, restarts - first))
+        x0 = np.stack([np.random.default_rng(child).standard_normal(n) for child in children])
+        x, vals, evals, sweeps = _descend(x0, dims, config, max_iters)
+        evals_total += int(evals.sum())
+        sweeps_total += int(sweeps.sum())
+        for k, val in enumerate(vals.tolist()):
+            if val < best_val:
+                best_val = val
+                best_x = x[k].copy()
+                best_restart = first + k
 
     best_report = residual(candidate_from_vector(best_x, dims), config)
     return FeasibilityReport(

@@ -194,7 +194,15 @@ def _truncate_numerical_zeros(w: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 def trace_norm(m: np.ndarray) -> float:
     """Tr|M| for Hermitian M (sum of absolute eigenvalues)."""
-    return float(np.abs(np.linalg.eigvalsh(_as_square(m))).sum())
+    return float(trace_norms(_as_square(m)))
+
+
+def trace_norms(m: np.ndarray) -> np.ndarray:
+    """Tr|M| of each Hermitian matrix in a stack of shape (..., n, n), unchecked.
+
+    Each entry has the bytes ``trace_norm`` gives for that matrix alone.
+    """
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,90 @@ def test_residual_matches_dense_oracle_odd_dims():
     for dims in ((2, 3, 2), (1, 2, 3), (3, 2, 1)):
         for seed in range(5):
             _assert_matches_dense_oracle(_random_candidate(dims, seed))
+
+
+# ---------------------------------------------------------------------------
+# stacked numpy forms: per matrix, the same bytes as the call on that matrix
+# ---------------------------------------------------------------------------
+#
+# The search scores many candidates per numpy call and must reproduce the
+# floats of scoring each one alone. Forms that do NOT give the same bytes,
+# and so must not be used: the einsum trace ``einsum("kjii->kj")`` (differs
+# from ``ndarray.trace`` at d_B >= 4) and ``np.linalg.norm(v, axis=1)``
+# (differs from the per-vector ``np.linalg.norm`` in about a fifth of
+# cases). A numpy upgrade that breaks one of the forms below fails here.
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("db", [2, 3, 4, 6])
+def test_stacked_forms_match_per_matrix_bytes(db):
+    rng = np.random.default_rng(db)
+    k = 40
+    for da, du in ((2, 2), (1, 3), (3, 1)):
+        dims = (da, db, du)
+        total = da * db * du
+        # norm: matmuls over the real and imaginary parts, as np.linalg.norm
+        segs = rng.standard_normal((k, 2 * total))
+        states = cons._decode_states(segs)
+        for seg, got in zip(segs, states):
+            v = seg[:total] + 1j * seg[total:]
+            assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        psi3 = states.reshape(k, *dims)
+        # the three marginal einsums
+        _, rho_b, rho_bu = cons._state_part(psi3, cons.FULL_CONFIG)
+        effects = _random_stack(rng, (k, 3, db, db))
+        au = cons._au_conditional(psi3, effects[:, 2])
+        for j in range(k):
+            p = psi3[j]
+            assert rho_b[j].tobytes() == np.einsum("abu,acu->bc", p, p.conj()).tobytes()
+            bu = np.einsum("abu,acw->bucw", p, p.conj()).reshape(db * du, db * du)
+            assert rho_bu[j].tobytes() == bu.tobytes()
+            e = np.ascontiguousarray(effects[j, 2])
+            au_j = np.einsum("bc,acu,ebw->auew", e, p, p.conj()).reshape(da * du, da * du)
+            assert au[j].tobytes() == au_j.tobytes()
+        # per-bit values: trace over the last two axes of a batched matmul,
+        # and eigvalsh for the trace norm
+        part = (psi3, rho_b, rho_bu)
+        for b in (0, 1):
+            got = cons._bit_values(part, effects, b, cons.FULL_CONFIG)
+            for j in range(k):
+                rho, e = rho_b[j], effects[j]
+                p = psi3[j]
+                au = [np.einsum("bc,acu,ebw->auew", np.ascontiguousarray(e[i]), p, p.conj())
+                      .reshape(da * du, da * du) for i in (b, 2)]
+                want = {
+                    "half_bit": abs(float((rho @ e[b]).trace().real) - 0.5),
+                    "half_hash": abs(float((rho @ e[2]).trace().real) - 0.5),
+                    "wrong_bit": max(0.0, float((rho @ e[1 - b]).trace().real)),
+                    "alice_blind": float(np.abs(np.linalg.eigvalsh(au[0] - au[1])).sum()),
+                }
+                for fam, value in want.items():
+                    assert got[fam][j].hex() == value.hex(), (dims, b, j, fam)
+        # eigvalsh again, in the receiver-information distance
+        other = cons._state_part(cons._decode_states(rng.standard_normal((k, 2 * total)))
+                                 .reshape(k, *dims), cons.FULL_CONFIG)
+        bob = cons._bob_info((part, other))
+        for j in range(k):
+            want = abs(linalg.trace_distance(rho_bu[j], other[2][j]) - 0.5)
+            assert bob[j].hex() == want.hex(), (dims, j)
+
+
+def test_stacked_evaluation_independent_of_stack():
+    # a candidate's family values are the same alone and inside any stack
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, cons._n_params(dims)))
+    stacked = cons._Batch(x, dims, cons.FULL_CONFIG)
+    for j in range(x.shape[0]):
+        alone = cons._Batch(x[j : j + 1], dims, cons.FULL_CONFIG)
+        for b in (0, 1):
+            for fam, v in stacked.per_bit[b].items():
+                assert v[j].tobytes() == alone.per_bit[b][fam][0].tobytes(), (j, b, fam)
+        assert stacked.bob[j].tobytes() == alone.bob[0].tobytes()
+        assert stacked.effects[j].tobytes() == alone.effects[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +334,47 @@ def _candidate_objective(dims, config):
     return lambda x: cons.residual(cons.candidate_from_vector(x, dims), config).total
 
 
+def _scalar_descend(objective, x0, max_iters):
+    # slow oracle for the lockstep descent: one restart, one probe per call,
+    # +step then -step on each coordinate, the step halved after a sweep
+    # without improvement
+    x = x0.copy()
+    best = objective(x)
+    evals = 1
+    step = cons.STEP0
+    sweeps = 0
+    for _ in range(max_iters):
+        sweeps += 1
+        improved = False
+        for i in range(x.size):
+            base = x[i]
+            for delta in (step, -step):
+                x[i] = base + delta
+                val = objective(x)
+                evals += 1
+                if val < best - 1e-15:
+                    best = val
+                    improved = True
+                    base = x[i]
+                    break
+                x[i] = base
+        if not improved:
+            step *= 0.5
+            if step < cons.STEP_TOL:
+                break
+    return x, best, evals, sweeps
+
+
+def _starts(dims, restarts, seed):
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    return [np.random.default_rng(c).standard_normal(cons._n_params(dims)) for c in children]
+
+
+def _oracle_runs(dims, config, restarts, max_iters, seed):
+    slow = _candidate_objective(dims, config)
+    return [_scalar_descend(slow, x0, max_iters) for x0 in _starts(dims, restarts, seed)]
+
+
 @pytest.mark.parametrize(
     "dims, config",
     [
@@ -259,43 +385,122 @@ def _candidate_objective(dims, config):
     ],
 )
 def test_objective_matches_residual_exactly(dims, config):
-    # every value of the search objective must be the very float that
-    # residual() gives for the decoded candidate, whichever segment moved
+    # every score of the batched evaluator must be the very float that
+    # residual() gives for the decoded candidate, whichever segment moved,
+    # for every row of a batch that repeats points as the descent does
     rng = np.random.default_rng(31)
-    n = cons._n_params(dims)
-    half = 2 * dims[0] * dims[1] * dims[2]
-    segments = ((0, half), (half, 2 * half), (2 * half, n))  # psi0, psi1, POVM
-    x = rng.standard_normal(n)
-    objective = cons._Objective(dims, config)
+    bounds = cons._segment_bounds(dims)
     slow = _candidate_objective(dims, config)
-    for k in range(90):
-        i = int(rng.integers(*segments[k % 3]))
-        base = x[i]
-        # a descent probe: +step, -step, then keep one or restore
-        for value in (base + 0.3, base - 0.3, base + rng.choice([0.3, 0.0])):
-            x[i] = value
-            got, want = objective(x), slow(x)
-            assert got == want, f"move {k} at coordinate {i}: {got.hex()} != {want.hex()}"
+    x = rng.standard_normal((4, cons._n_params(dims)))
+    x[1, : bounds[0][1]] = 0.0  # psi0 of norm 0 decodes to the first basis vector
+    batch = cons._Batch(x, dims, config)
+    assert [v.hex() for v in batch.total] == [slow(row).hex() for row in x]
+    zero_rows = 0
+    for k in range(45):
+        seg = k % 3
+        lo, hi = bounds[seg]
+        rows = rng.integers(0, 4, size=6)
+        batch.fix(seg, rows)
+        for _ in range(2):
+            i = int(rng.integers(lo, hi))
+            probes = x[rows, lo:hi]
+            probes[:, i - lo] += rng.choice([0.3, -0.3], size=rows.size)
+            if seg < 2 and k % 2:
+                probes[k % rows.size] = 0.0  # the norm fallback beside normal rows
+                zero_rows += 1
+            got = batch.score(probes)
+            for j, point in enumerate(rows):
+                moved = x[point].copy()
+                moved[lo:hi] = probes[j]
+                want = slow(moved)
+                assert got[j] == want, f"move {k}, row {j}: {got[j].hex()} != {want.hex()}"
+            # keep some probes, at most one per point, as the descent does
+            points, taken = np.unique(rows, return_index=True)
+            chosen = rng.random(points.size) < 0.5
+            batch.keep(points[chosen], taken[chosen])
+            x[points[chosen], lo:hi] = probes[taken[chosen]]
+    assert zero_rows > 0
+    assert [v.hex() for v in batch.total] == [slow(row).hex() for row in x]
 
 
-@pytest.mark.parametrize("config", [cons.FULL_CONFIG, cons.drop("alice_blind")])
-def test_search_follows_candidate_objective(config):
-    # descents driven by the candidate objective must take the same
-    # trajectories as search, so the best value, evaluation and sweep
-    # counts and the best restart all agree exactly
-    dims, restarts, max_iters, seed = (2, 2, 2), 3, 20, 4
+@pytest.mark.parametrize(
+    "dims, config, restarts, max_iters",
+    [
+        ((2, 2, 2), cons.FULL_CONFIG, 3, 20),
+        ((2, 2, 2), cons.drop("alice_blind"), 3, 20),
+        # at d_B >= 4 an einsum trace would change the sums
+        ((2, 4, 2), cons.FULL_CONFIG, 2, 3),
+        ((3, 3, 3), cons.FULL_CONFIG, 2, 2),
+        # restarts stop at different sweeps, so the live masks shrink
+        ((1, 1, 1), cons.FULL_CONFIG, 5, 60),
+    ],
+)
+def test_descend_matches_scalar_oracle(dims, config, restarts, max_iters):
+    # each restart of the lockstep descent must take the path the scalar
+    # descent takes alone: the same final point, best value, evaluation
+    # count and sweep count
+    seed = 4
+    runs = _oracle_runs(dims, config, restarts, max_iters, seed)
+    x, best, evals, sweeps = cons._descend(
+        np.stack(_starts(dims, restarts, seed)), dims, config, max_iters
+    )
+    for r, (x_r, best_r, evals_r, sweeps_r) in enumerate(runs):
+        assert best[r].hex() == best_r.hex(), r
+        assert evals[r] == evals_r, r
+        assert sweeps[r] == sweeps_r, r
+        assert x[r].tobytes() == x_r.tobytes(), r
+    if dims == (1, 1, 1):
+        assert len(set(sweeps.tolist())) > 1
+
+
+def _assert_search_follows_oracle(dims, config, restarts, max_iters, seed):
     rep = cons.search(dims, restarts=restarts, max_iters=max_iters, seed=seed, config=config)
-    slow = _candidate_objective(dims, config)
-    runs = []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        x0 = np.random.default_rng(child).standard_normal(cons._n_params(dims))
-        runs.append(cons._descend(slow, x0, max_iters))
+    runs = _oracle_runs(dims, config, restarts, max_iters, seed)
     values = [run[1] for run in runs]
     best = values.index(min(values))
     assert rep.best_total_residual.hex() == values[best].hex()
     assert rep.best_restart == best
     assert rep.evaluations == sum(run[2] for run in runs)
     assert rep.sweeps == sum(run[3] for run in runs)
+
+
+@pytest.mark.parametrize("config", [cons.FULL_CONFIG, cons.drop("alice_blind")])
+def test_search_follows_candidate_objective(config):
+    # scalar descents driven by the candidate objective must take the same
+    # trajectories as search, so the best value, evaluation and sweep
+    # counts and the best restart all agree exactly
+    _assert_search_follows_oracle((2, 2, 2), config, restarts=3, max_iters=20, seed=4)
+
+
+def test_search_spans_blocks():
+    # one block plus one restart: the second block holds a single restart,
+    # and the reduction runs across blocks in restart order
+    _assert_search_follows_oracle(
+        (1, 1, 1), cons.FULL_CONFIG, restarts=cons.SEARCH_BLOCK + 1, max_iters=4, seed=2
+    )
+
+
+def test_search_memory_bounded_in_restarts():
+    # restarts run in blocks, so four blocks' worth needs no more working
+    # memory than one
+    def peak(restarts):
+        tracemalloc.start()
+        try:
+            cons.search((2, 2, 2), restarts=restarts, max_iters=1, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(cons.SEARCH_BLOCK), peak(4 * cons.SEARCH_BLOCK)
+    assert four <= 1.25 * one, (one, four)
+
+
+def test_block_size_shrinks_for_large_operators():
+    assert cons._block_size((2, 2, 2)) == cons.SEARCH_BLOCK
+    # each probe's 256 x 256 complex rho^BU: 2 MiB for the +step and -step pair
+    assert cons._block_size((16, 16, 16)) == cons.SEARCH_BLOCK_BYTES // (2 << 20)
+    # a 4096 x 4096 A (x) U operator alone exceeds the budget: one restart per block
+    assert cons._block_size((64, 1, 64)) == 1
 
 
 def test_search_scalar_dims_floor():
