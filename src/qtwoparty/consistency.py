@@ -345,8 +345,11 @@ def candidate_from_vector(x: np.ndarray, dims: tuple[int, int, int]) -> Triparti
 
     States are normalized complex vectors; the POVM comes from the
     square-root parameterization E_i = S^{-1/2} G_i^dag G_i S^{-1/2} with
-    S = sum_i G_i^dag G_i, which enforces positivity and completeness for
-    any choice of the three complex matrices G_i.
+    S = sum_i G_i^dag G_i of the three complex matrices G_i. That gives
+    positive effects, which sum to the identity only where S is
+    invertible. A POVM segment whose effects miss completeness by more
+    than ``linalg.POVM_COMPLETENESS_ATOL`` (S singular: an all-zero
+    segment, or G_i sharing a kernel vector) is refused with ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (_n_params(dims),):
@@ -354,6 +357,12 @@ def candidate_from_vector(x: np.ndarray, dims: tuple[int, int, int]) -> Triparti
     _, _, (lo, _) = _segment_bounds(dims)
     psi0, psi1 = _decode_states(x[:lo].reshape(2, -1))
     effects = _decode_povms(x[None, lo:], dims[1])[0]
+    defect = float(np.abs(effects.sum(axis=0) - np.eye(dims[1])).max())
+    if defect > linalg.POVM_COMPLETENESS_ATOL:
+        raise ValueError(
+            f"POVM segment is degenerate: S = sum_i G_i^dag G_i is singular and "
+            f"the decoded effects miss completeness by {defect:.3e}"
+        )
     povm = linalg.Povm(((ot.BIT0, effects[0]), (ot.BIT1, effects[1]), (ot.HASH, effects[2])))
     return TripartiteCandidate(dims=dims, psi0=psi0, psi1=psi1, povm=povm)
 

@@ -19,7 +19,6 @@ filter is driven entirely by the receiver's arm.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -29,6 +28,13 @@ ATTACK_NONE = "none"
 ATTACK_DEMON = "demon"
 
 NO_DETECTION = 0
+
+CSV_CHUNK_ROWS = 1 << 16
+
+# fills the byte matrix around each value's characters; dropped on output
+_PAD = 0
+# a uint64 divisor keeps the digit arithmetic in uint64 under numpy 1.x promotion
+_TEN = np.uint64(10)
 
 
 class InsufficientDataError(ValueError):
@@ -67,6 +73,36 @@ class QkdConfig:
             raise ValueError(f"attack must be {ATTACK_NONE!r} or {ATTACK_DEMON!r}")
 
 
+class _DecimalField:
+    """Decimal text of one chunk of an integer column, any int64 value.
+
+    ``put`` writes each value into a row of ``width`` bytes: the sign in the
+    first byte, the digits right-aligned, pad bytes between.
+    """
+
+    def __init__(self, col: np.ndarray):
+        col = np.asarray(col, dtype=np.int64)
+        self.neg = col < 0
+        # |col| in uint64, where the wrap-around negation is exact for int64 min too
+        self.mag = col.astype(np.uint64)
+        np.negative(self.mag, out=self.mag, where=self.neg)
+        self.digits = len(str(int(self.mag.max())))
+        self.width = self.digits + bool(self.neg.any())
+
+    def put(self, block: np.ndarray) -> None:
+        if self.width > self.digits:
+            block[:, 0] = np.where(self.neg, ord("-"), _PAD)
+        q = self.mag
+        for j in range(self.digits):
+            nxt = q // _TEN
+            digit = (q - nxt * _TEN).astype(np.uint8)
+            digit += ord("0")
+            if j:
+                digit[q == 0] = _PAD  # no leading zeros
+            block[:, -1 - j] = digit
+            q = nxt
+
+
 @dataclass(frozen=True)
 class TrialData:
     """Per-trial record arrays; outcomes are +-1 with 0 meaning no detection."""
@@ -80,26 +116,43 @@ class TrialData:
     coincident: np.ndarray
 
     def write_csv(self, path) -> None:
-        """Stream trials as CSV (trial, a_set, b_set, a_out, b_out, e_set, e_out, coincident)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["trial", "a_set", "b_set", "a_out", "b_out", "e_set", "e_out", "coincident"]
-            )
-            has_eve = self.eve_setting is not None
-            for i in range(self.alice_setting.size):
-                writer.writerow(
-                    [
-                        i,
-                        int(self.alice_setting[i]),
-                        int(self.bob_setting[i]),
-                        int(self.alice_outcome[i]),
-                        int(self.bob_outcome[i]),
-                        int(self.eve_setting[i]) if has_eve else "",
-                        int(self.eve_outcome[i]) if has_eve else "",
-                        int(self.coincident[i]),
-                    ]
-                )
+        """Stream trials as CSV (trial, a_set, b_set, a_out, b_out, e_set, e_out, coincident).
+
+        The bytes are those of ``csv.writer`` in its default dialect: rows end
+        in CRLF, every value is a plain decimal integer (``coincident`` as 0 or
+        1), and honest runs leave ``e_set`` and ``e_out`` empty. Rows are
+        formatted ``CSV_CHUNK_ROWS`` at a time as one byte matrix, so memory
+        stays bounded in the number of trials.
+        """
+        columns = (
+            self.alice_setting,
+            self.bob_setting,
+            self.alice_outcome,
+            self.bob_outcome,
+            self.eve_setting,
+            self.eve_outcome,
+            self.coincident,
+        )
+        n = self.alice_setting.size
+        with open(path, "wb") as fh:
+            fh.write(b"trial,a_set,b_set,a_out,b_out,e_set,e_out,coincident\r\n")
+            for lo in range(0, n, CSV_CHUNK_ROWS):
+                hi = min(lo + CSV_CHUNK_ROWS, n)
+                fields = [_DecimalField(np.arange(lo, hi))]
+                fields += [None if c is None else _DecimalField(c[lo:hi]) for c in columns]
+                # one byte per separator and two for the row end
+                width = sum(f.width for f in fields if f is not None) + len(fields) + 1
+                rows = np.zeros((hi - lo, width), dtype=np.uint8)
+                start = 0
+                for f in fields:
+                    if f is not None:
+                        f.put(rows[:, start:start + f.width])
+                        start += f.width
+                    rows[:, start] = ord(",")
+                    start += 1
+                rows[:, -2:] = (ord("\r"), ord("\n"))  # over the comma after the last field
+                flat = rows.ravel()
+                fh.write(flat[flat != _PAD])
 
 
 @dataclass(frozen=True)
@@ -189,12 +242,11 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     n_coin = int(coincident.sum())
     na, nb = a_angles.size, b_angles.size
-    cell_counts = np.zeros((na, nb), dtype=int)
-    cell_sums = np.zeros((na, nb), dtype=float)
-    if n_coin:
-        prod = (a_out * b_out)[coincident].astype(float)
-        np.add.at(cell_counts, (a_set[coincident], b_set[coincident]), 1)
-        np.add.at(cell_sums, (a_set[coincident], b_set[coincident]), prod)
+    # tallies in trial order, as sequential adds: the +-1 sums are exact
+    prod = (a_out[coincident] * b_out[coincident]).astype(float)
+    cell = a_set[coincident] * nb + b_set[coincident]
+    cell_counts = np.bincount(cell, minlength=na * nb).reshape(na, nb)
+    cell_sums = np.bincount(cell, weights=prod, minlength=na * nb).reshape(na, nb)
     with np.errstate(invalid="ignore", divide="ignore"):
         correlators = np.where(cell_counts > 0, cell_sums / np.maximum(cell_counts, 1), np.nan)
         stderr = np.where(

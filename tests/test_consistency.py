@@ -314,6 +314,27 @@ def test_candidate_from_vector_produces_valid_povm():
         cons.candidate_from_vector(np.zeros(3), (2, 2, 2))
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3, 2)])
+def test_candidate_from_vector_refuses_singular_povm_segment(dims):
+    # S = sum_i G_i^dag G_i singular: the decoded effects cannot sum to I
+    rng = np.random.default_rng(17)
+    _, _, (lo, hi) = cons._segment_bounds(dims)
+    db = dims[1]
+    zero = rng.standard_normal(cons._n_params(dims))
+    zero[lo:] = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        cons.candidate_from_vector(zero, dims)
+    # every G_i (real and imaginary part) sends the last basis vector to 0
+    shared = rng.standard_normal(cons._n_params(dims))
+    shared[lo:hi].reshape(3, 2, db, db)[..., -1] = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        cons.candidate_from_vector(shared, dims)
+    # a kernel that only one G_i has leaves S invertible
+    one = rng.standard_normal(cons._n_params(dims))
+    one[lo:hi].reshape(3, 2, db, db)[0, ..., -1] = 0.0
+    assert linalg.validate_povm(cons.candidate_from_vector(one, dims).povm).ok
+
+
 # ---------------------------------------------------------------------------
 # search behavior
 # ---------------------------------------------------------------------------
