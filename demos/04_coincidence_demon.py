@@ -25,14 +25,14 @@ common = dict(
 
 print("honest run, one million pairs:")
 honest_cfg = qkd.QkdConfig(attack="none", seed=7, **common)
-honest = qkd.simulate(honest_cfg)
+honest, _ = qkd.simulate(honest_cfg)
 print(f"  CHSH S = {honest.chsh_value:.4f} +- {honest.chsh_stderr:.4f}"
       f"   (classical bound 2, quantum maximum {2 * math.sqrt(2):.4f})")
 print(f"  coincidence rate = {honest.coincidence_rate:.4f}")
 
 print("\nsame source and settings under the interception attack:")
 attack_cfg = qkd.QkdConfig(attack="demon", seed=7, **common)
-attacked = qkd.simulate(attack_cfg)
+attacked, _ = qkd.simulate(attack_cfg)
 print(f"  CHSH S = {attacked.chsh_value:.4f} +- {attacked.chsh_stderr:.4f}   (still 'secure'!)")
 print(f"  coincidence rate = {attacked.coincidence_rate:.4f}")
 print(f"  fraction of accepted outcomes known to the interceptor: "

@@ -11,8 +11,9 @@ Four capabilities, one per module:
 * :mod:`qtwoparty.qkd` — Monte-Carlo entanglement-based key distribution
   under coincidence post-selection and the setting-matched demon attack.
 
-:mod:`qtwoparty.linalg` supplies the shared dense linear algebra and
-:mod:`qtwoparty.cli` the manifest-backed command-line interface.
+:mod:`qtwoparty.linalg` supplies the shared spectral and POVM helpers and
+the trace distance, and :mod:`qtwoparty.cli` the manifest-backed
+command-line interface.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,7 @@ __version__ = "0.1.0"
 from . import bc, consistency, linalg, ot, qkd
 from .bc import BcParams, cheat_report, sweep
 from .consistency import TripartiteCandidate, residual, search
-from .linalg import fidelity, partial_trace, tensor_product, trace_distance
+from .linalg import trace_distance
 from .ot import OtParams, partial_security
 from .qkd import QkdConfig, simulate
 
@@ -37,9 +38,6 @@ __all__ = [
     "TripartiteCandidate",
     "residual",
     "search",
-    "fidelity",
-    "partial_trace",
-    "tensor_product",
     "trace_distance",
     "OtParams",
     "partial_security",

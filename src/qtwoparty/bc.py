@@ -59,10 +59,6 @@ class BcParams:
         # delegates the (0, pi/4] range check
         object.__setattr__(self, "theta", ot.OtParams(self.theta).theta)
 
-    @property
-    def ot_params(self) -> ot.OtParams:
-        return ot.OtParams(self.theta)
-
 
 def mixture_fidelity(m: int, theta: float) -> float:
     """Exact F(rho_even, rho_odd) for m-bit strings, for any m.
@@ -133,7 +129,10 @@ def build_w(params: BcParams, bit: int) -> np.ndarray:
             0.5 * (np.kron(even, p0) + np.kron(odd, p1)),
             0.5 * (np.kron(even, p1) + np.kron(odd, p0)),
         )
-    return linalg.tensor_power(even if bit == 0 else odd, params.n)
+    w = rho = even if bit == 0 else odd
+    for _ in range(params.n - 1):
+        w = np.kron(w, rho)
+    return w
 
 
 def compute_f(params: BcParams) -> float:
@@ -289,10 +288,6 @@ class BcCheatReport:
         return 0.5 * (1.0 + self.d.lo)
 
     @property
-    def bob_quantum_hi(self) -> float:
-        return 0.5 * (1.0 + self.d.hi)
-
-    @property
     def f_plus_d(self) -> float:
         return self.f + self.d.lo
 
@@ -308,7 +303,7 @@ def cheat_report(
     ``security`` is the transfer's (p, q) at ``params.theta``; it depends on
     theta alone, so a sweep computes it once and passes it to every row.
     """
-    sec = security if security is not None else ot.partial_security(params.ot_params)
+    sec = security if security is not None else ot.partial_security(params.theta)
     f = compute_f(params)
     d = compute_d(params, exact_cap=exact_cap, f=f)
     return BcCheatReport(

@@ -223,11 +223,9 @@ def run_qkd_demon(params: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     trials_csv = params.get("trials_csv")
+    stats, trials = qkd.simulate(config, keep_trials=bool(trials_csv))
     if trials_csv:
-        stats, trials = qkd.simulate(config, keep_trials=True)
         trials.write_csv(trials_csv)
-    else:
-        stats = qkd.simulate(config)
     payload = {
         "stats": stats.to_json_dict(),
         "rate_analysis": qkd.rate_analysis(config, stats).to_json_dict(),

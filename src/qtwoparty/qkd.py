@@ -205,7 +205,7 @@ def _correlated_partner(rng, first: np.ndarray, corr: np.ndarray) -> np.ndarray:
 
 
 def simulate(config: QkdConfig, *, keep_trials: bool = False):
-    """Run the trial-slot model; returns stats, or (stats, trials) if requested.
+    """Run the trial-slot model; returns (stats, trials), trials None unless kept.
 
     Honest path: the pair is measured at both ends and the receiver's
     photon survives channel-plus-detector loss as one Bernoulli draw.
@@ -287,6 +287,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
             s = se = None
         stats = replace(stats, chsh_value=s, chsh_stderr=se)
 
+    trials = None
     if keep_trials:
         trials = TrialData(
             alice_setting=a_set,
@@ -297,8 +298,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
             eve_outcome=e_out,
             coincident=coincident,
         )
-        return stats, trials
-    return stats
+    return stats, trials
 
 
 # (setting cell, sign) terms of the CHSH combination

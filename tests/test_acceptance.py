@@ -28,6 +28,8 @@ import pytest
 
 from qtwoparty import bc, cli, consistency as cons, linalg, ot, qkd
 
+import dense_oracle as oracle
+
 THETA_GRID = [(i / 100) * math.pi / 4 for i in range(1, 101)]
 PI6 = math.pi / 6
 
@@ -36,6 +38,20 @@ PI6 = math.pi / 6
 FULL_RESIDUAL_222 = 0.31976917880168243
 DROP_ALICE_SEARCH_222 = 0.304253333296421
 USD_WITNESS_DROP_ALICE_222 = math.sqrt(3) / 2 - 0.5
+
+
+def _blas_fingerprint():
+    """numpy version and BLAS/LAPACK build, for the messages of BLAS-dependent pins."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy without the dicts mode
+        return f"numpy {np.__version__}"
+    libs = "; ".join(
+        f"{lib} {deps[lib].get('name')} {deps[lib].get('version')}"
+        for lib in ("blas", "lapack")
+        if lib in deps
+    )
+    return f"numpy {np.__version__}; {libs}"
 
 
 def _report(num, ok, text):
@@ -92,7 +108,7 @@ def test_03_commitment_exact_grid():
         f = bc.compute_f(params)
         w0 = bc.build_w(params, 0)
         w1 = bc.build_w(params, 1)
-        direct = linalg.fidelity(w0, w1)
+        direct = oracle.fidelity(w0, w1)
         d = linalg.trace_distance(w0, w1)
         assert abs(f - direct) <= 1e-8, (m, n)
         assert f + d >= 1 - 1e-9, (m, n)
@@ -133,9 +149,9 @@ def test_05_fuchs_van_de_graaf_suite():
     count = 0
     for dim in (2, 3, 4, 8):
         for k in range(256):
-            a = linalg.random_density(dim, (5, dim, k, 0))
-            b = linalg.random_density(dim, (5, dim, k, 1))
-            f = linalg.fidelity(a, b)
+            a = oracle.random_density(dim, (5, dim, k, 0))
+            b = oracle.random_density(dim, (5, dim, k, 1))
+            f = oracle.fidelity(a, b)
             d = linalg.trace_distance(a, b)
             assert d - (1 - f) >= -1e-8
             assert math.sqrt(max(0.0, 1 - f * f)) - d >= -1e-8
@@ -179,11 +195,12 @@ def test_06_feasibility_evidence_as_stated():
     )
     assert ok_full_pin, (
         f"full-constraint search floor at (2,2,2) drifted: {full.best_total_residual!r} "
-        f"vs pinned {FULL_RESIDUAL_222!r}"
+        f"vs pinned {FULL_RESIDUAL_222!r} ({_blas_fingerprint()})"
     )
     assert ok_obstruction_pin, (
         "d_B = 2 obstruction drifted: discrimination witness without sender-blindness "
-        f"scores {obstruction!r}, expected sqrt(3)/2 - 1/2 = {USD_WITNESS_DROP_ALICE_222!r}"
+        f"scores {obstruction!r}, expected sqrt(3)/2 - 1/2 = {USD_WITNESS_DROP_ALICE_222!r} "
+        f"({_blas_fingerprint()})"
     )
     assert ok_relaxed_small, (
         "dropping sender-blindness no longer admits a feasible candidate at (2,3,2): "
@@ -214,7 +231,11 @@ def test_06s_supplementary_feasible_relaxations():
     drop_alice = cons.search(
         (2, 2, 2), restarts=200, max_iters=40, seed=0, config=cons.drop("alice_blind")
     )
-    assert abs(drop_alice.best_total_residual - DROP_ALICE_SEARCH_222) <= 1e-12
+    assert abs(drop_alice.best_total_residual - DROP_ALICE_SEARCH_222) <= 1e-12, (
+        "drop-sender-blindness search floor at (2,2,2) drifted: "
+        f"{drop_alice.best_total_residual!r} vs pinned {DROP_ALICE_SEARCH_222!r} "
+        f"({_blas_fingerprint()})"
+    )
     margin = FULL_RESIDUAL_222 - drop_alice.best_total_residual
     assert margin > 0
     elapsed = time.time() - t0
@@ -239,7 +260,7 @@ QKD_KW = dict(
 
 def test_07_qkd_honest_baseline():
     t0 = time.time()
-    stats = qkd.simulate(qkd.QkdConfig(n_pairs=1_000_000, attack="none", seed=7, **QKD_KW))
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=1_000_000, attack="none", seed=7, **QKD_KW))
     elapsed = time.time() - t0
     target = 2 * math.sqrt(2)
     assert abs(stats.chsh_value - target) <= 4 * stats.chsh_stderr
@@ -269,7 +290,7 @@ def test_08_qkd_demon_attack():
     assert config.channel_transmission_eve >= len(config.bob_settings) * config.channel_transmission_honest
     assert report.observed_within_4sigma
     honest_cfg = qkd.QkdConfig(n_pairs=1_000_000, attack="none", seed=8, **QKD_KW)
-    honest_report = qkd.rate_analysis(honest_cfg, qkd.simulate(honest_cfg))
+    honest_report = qkd.rate_analysis(honest_cfg, qkd.simulate(honest_cfg)[0])
     assert honest_report.observed_within_4sigma
     elapsed = time.time() - t0
     assert elapsed < 60.0

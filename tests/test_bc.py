@@ -10,6 +10,8 @@ import pytest
 
 from qtwoparty import bc, linalg, ot
 
+import dense_oracle as oracle
+
 PI6 = math.pi / 6
 
 # frozen from the first 16-dimensional eigendecomposition; independently
@@ -86,7 +88,7 @@ def test_mixture_bitflip_symmetry():
 
 
 def test_mixture_validates_as_density():
-    linalg.check_density(_mixture(4, PI6, 0))
+    oracle.check_density(_mixture(4, PI6, 0))
 
 
 def test_mixture_cap_and_argument_errors():
@@ -106,7 +108,7 @@ def test_mixture_fidelity_matches_dense(m):
     for theta in (PI6, math.pi / 8, 0.7, math.pi / 4):
         e = _mixture(m, theta, 0)
         o = _mixture(m, theta, 1)
-        assert abs(bc.mixture_fidelity(m, theta) - linalg.fidelity(e, o)) < 1e-10
+        assert abs(bc.mixture_fidelity(m, theta) - oracle.fidelity(e, o)) < 1e-10
 
 
 @pytest.mark.parametrize("m", list(range(1, 9)))
@@ -177,7 +179,7 @@ def test_compute_f_multiplicativity_vs_direct_1_2():
     params = bc.BcParams(1, 2, PI6)
     f = bc.compute_f(params)
     assert abs(f - 0.25) < 1e-12
-    direct = linalg.fidelity(bc.build_w(params, 0), bc.build_w(params, 1))
+    direct = oracle.fidelity(bc.build_w(params, 0), bc.build_w(params, 1))
     assert abs(f - direct) < 1e-8
 
 

@@ -11,6 +11,8 @@ import pytest
 from qtwoparty import consistency as cons
 from qtwoparty import linalg, ot
 
+import dense_oracle as oracle
+
 
 def _random_candidate(dims, seed):
     rng = np.random.default_rng(seed)
@@ -19,7 +21,7 @@ def _random_candidate(dims, seed):
 
 
 # ---------------------------------------------------------------------------
-# independent evaluator: dense kron matrices + the linalg partial trace
+# independent evaluator: dense kron matrices + the oracle partial trace
 # ---------------------------------------------------------------------------
 
 
@@ -34,17 +36,17 @@ def _residual_dense_oracle(cand: cons.TripartiteCandidate) -> dict:
 
     out = {"half_bit": [], "half_hash": [], "wrong_bit": [], "alice_blind": []}
     for b in (0, 1):
-        rho_b = linalg.partial_trace(proj[b], dims, keep={1})
+        rho_b = oracle.partial_trace(proj[b], dims, keep={1})
         e_b = effects[f"bit{b}"]
         e_wrong = effects[f"bit{1 - b}"]
         out["half_bit"].append(abs(float(np.trace(rho_b @ e_b).real) - 0.5))
         out["half_hash"].append(abs(float(np.trace(rho_b @ effects[ot.HASH]).real) - 0.5))
         out["wrong_bit"].append(max(0.0, float(np.trace(rho_b @ e_wrong).real)))
-        sigma = linalg.partial_trace(lifted(e_b) @ proj[b], dims, keep={0, 2})
-        tau = linalg.partial_trace(lifted(effects[ot.HASH]) @ proj[b], dims, keep={0, 2})
+        sigma = oracle.partial_trace(lifted(e_b) @ proj[b], dims, keep={0, 2})
+        tau = oracle.partial_trace(lifted(effects[ot.HASH]) @ proj[b], dims, keep={0, 2})
         out["alice_blind"].append(float(np.abs(np.linalg.eigvalsh((sigma + sigma.conj().T) / 2 - (tau + tau.conj().T) / 2)).sum()))
-    bu0 = linalg.partial_trace(proj[0], dims, keep={1, 2})
-    bu1 = linalg.partial_trace(proj[1], dims, keep={1, 2})
+    bu0 = oracle.partial_trace(proj[0], dims, keep={1, 2})
+    bu1 = oracle.partial_trace(proj[1], dims, keep={1, 2})
     out["bob_info"] = abs(linalg.trace_distance(bu0, bu1) - 0.5)
     return out
 

@@ -35,7 +35,7 @@ def test_config_validation():
 
 
 def test_honest_chsh_reaches_quantum_value():
-    stats = qkd.simulate(qkd.QkdConfig(n_pairs=400_000, seed=3, **CHSH_KW))
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=400_000, seed=3, **CHSH_KW))
     assert abs(stats.chsh_value - S_QUANTUM) <= 4 * stats.chsh_stderr
     # per-cell correlators against the closed form V cos 2(a - b)
     for i, a in enumerate(CHSH_KW["alice_settings"]):
@@ -45,13 +45,13 @@ def test_honest_chsh_reaches_quantum_value():
 
 
 def test_reduced_visibility_scales_chsh():
-    stats = qkd.simulate(qkd.QkdConfig(n_pairs=400_000, visibility=0.5, seed=4, **CHSH_KW))
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=400_000, visibility=0.5, seed=4, **CHSH_KW))
     assert abs(stats.chsh_value - S_QUANTUM / 2) <= 4 * stats.chsh_stderr
     assert stats.chsh_value < 2.0
 
 
 def test_zero_visibility_uncorrelated():
-    stats = qkd.simulate(qkd.QkdConfig(n_pairs=200_000, visibility=0.0, seed=5, **CHSH_KW))
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=200_000, visibility=0.0, seed=5, **CHSH_KW))
     assert abs(stats.chsh_value) <= 4 * stats.chsh_stderr
 
 
@@ -70,7 +70,7 @@ def test_attack_preserves_bell_violation_and_leaks_everything():
 
 def test_attack_correlators_match_honest_cells():
     config = qkd.QkdConfig(n_pairs=400_000, attack=qkd.ATTACK_DEMON, seed=7, **CHSH_KW)
-    stats = qkd.simulate(config)
+    stats, _ = qkd.simulate(config)
     for i, a in enumerate(CHSH_KW["alice_settings"]):
         for j, b in enumerate(CHSH_KW["bob_settings"]):
             expected = math.cos(2 * (a - b))
@@ -79,7 +79,7 @@ def test_attack_correlators_match_honest_cells():
 
 def test_marginals_are_unbiased():
     for attack in (qkd.ATTACK_NONE, qkd.ATTACK_DEMON):
-        stats = qkd.simulate(qkd.QkdConfig(n_pairs=300_000, attack=attack, seed=8, **CHSH_KW))
+        stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=300_000, attack=attack, seed=8, **CHSH_KW))
         half_width = 4 * math.sqrt(0.25 / stats.n_coincident)
         assert abs(stats.alice_plus_fraction - 0.5) <= half_width
         assert abs(stats.bob_plus_fraction - 0.5) <= half_width
@@ -87,8 +87,8 @@ def test_marginals_are_unbiased():
 
 def test_simulation_deterministic():
     config = qkd.QkdConfig(n_pairs=50_000, attack=qkd.ATTACK_DEMON, seed=9, **CHSH_KW)
-    a = qkd.simulate(config)
-    b = qkd.simulate(config)
+    a, _ = qkd.simulate(config)
+    b, _ = qkd.simulate(config)
     assert a.n_coincident == b.n_coincident
     assert a.chsh_value == b.chsh_value
     assert np.array_equal(a.cell_counts, b.cell_counts)
@@ -180,7 +180,7 @@ def test_simulated_rates_match_analytic():
             channel_transmission_eve=0.8,
             **CHSH_KW,
         )
-        report = qkd.rate_analysis(config, qkd.simulate(config))
+        report = qkd.rate_analysis(config, qkd.simulate(config)[0])
         assert report.observed_within_4sigma
         # stealth: matched rates by construction (t_eve = 2 * t_honest, 2 settings)
         assert abs(report.attack_rate - report.honest_rate) < 1e-12
@@ -188,8 +188,17 @@ def test_simulated_rates_match_analytic():
 
 def test_single_setting_run_has_no_default_chsh():
     config = qkd.QkdConfig(n_pairs=5_000, alice_settings=(0.0,), bob_settings=(0.1,))
-    stats = qkd.simulate(config)
+    stats, _ = qkd.simulate(config)
     assert stats.chsh_value is None
+
+
+def test_simulate_returns_trials_only_when_kept():
+    config = qkd.QkdConfig(n_pairs=1_000, attack=qkd.ATTACK_DEMON, seed=17, **CHSH_KW)
+    stats, trials = qkd.simulate(config)
+    assert trials is None
+    kept_stats, kept = qkd.simulate(config, keep_trials=True)
+    assert json.dumps(kept_stats.to_json_dict()) == json.dumps(stats.to_json_dict())
+    assert kept.coincident.sum() == stats.n_coincident
 
 
 def test_trials_csv(tmp_path):
