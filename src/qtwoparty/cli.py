@@ -2,17 +2,24 @@
 
 Subcommands
 -----------
-ot-analyze      transfer-protocol table over a theta grid (CSV/JSON)
-bc-analyze      commitment cheat-probability sweep over an (M, N) grid
+ot-analyze      transfer-protocol table over a theta grid (CSV or JSON)
+bc-analyze      commitment cheat-probability sweep over an (M, N) grid (CSV or JSON)
 ot-feasibility  constraint-residual search report (JSON)
 qkd-demon       key-distribution run statistics and rate analysis (JSON)
 replay          re-run any of the above from its manifest
 
-Every run writes a manifest next to its output recording the subcommand,
-the fully resolved parameter set, the seed, the artifact version and the
-output paths; ``replay`` reproduces the output files byte-identically.
-Angles are radians by default; append ``deg`` for degrees (e.g. ``30deg``).
-Floats in CSV output carry 17 significant digits.
+Only the two table subcommands, ``ot-analyze`` and ``bc-analyze``, take
+``--format`` (csv by default). Every run writes a manifest next to its
+output recording the subcommand, the fully resolved parameter set, the
+seed, the artifact version and the output paths; ``replay`` reproduces the
+output files byte-identically. Angles are radians by default; append
+``deg`` for degrees (e.g. ``30deg``). Floats in CSV output carry 17
+significant digits.
+
+Exit status: 0 on success, 1 when ``bc-analyze``'s f + d >= 1 sentinel
+fires, and 2 for any refused input. A flag that argparse rejects prints
+its usage message; a value, grid, manifest or parameter set that the CLI
+or the library refuses prints one ``error:`` line, and no output is written.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import json
 import math
 import sys
 
-from . import __version__, bc, consistency, linalg, ot, qkd
+from . import __version__, bc, consistency, ot, qkd
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -59,18 +66,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_table(params: dict, header: list[str], rows: list[list]) -> None:
+    """Rows to ``params["output"]``: CSV, or JSON objects keyed by the header."""
+    if params["format"] != "csv":
+        _write_json(params["output"], [dict(zip(header, row)) for row in rows])
+        return
+    with open(params["output"], "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) -> str:
@@ -89,35 +100,21 @@ def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) 
 
 # ---------------------------------------------------------------------------
 # runners: pure functions of their resolved parameter dicts, so a manifest
-# replay goes through exactly the same code path as the original call
+# replay goes through exactly the same code path as the original call. A
+# ValueError, the library's refusal of a value, is a usage error (``main``).
 # ---------------------------------------------------------------------------
 
 
-def _ot_params(theta: float) -> ot.OtParams:
-    """Protocol parameters for an angle; one outside (0, pi/4] is a usage error."""
-    try:
-        return ot.OtParams(float(theta))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def run_ot_analyze(params: dict) -> int:
-    grid = [_ot_params(t) for t in params["thetas"]]
+    grid = [ot.OtParams(float(t)) for t in params["thetas"]]
     if not grid:
         raise UsageError("the theta grid is empty; pass --theta and/or --grid")
-    header = ["theta", "p", "q", "honest_success", "honest_hash", "degenerate"]
     rows = []
-    json_rows = []
     for p in grid:
         sec = ot.partial_security(p)
         dist = ot.honest_distribution(p, 0)
-        row = [p.theta, sec.p, sec.q, dist[ot.BIT0], dist[ot.HASH], p.is_degenerate]
-        rows.append(row)
-        json_rows.append(dict(zip(header, [row[0], row[1], row[2], row[3], row[4], bool(row[5])])))
-    if params["format"] == "csv":
-        _write_csv(params["output"], header, rows)
-    else:
-        _write_json(params["output"], json_rows)
+        rows.append([p.theta, sec.p, sec.q, dist[ot.BIT0], dist[ot.HASH], p.is_degenerate])
+    _write_table(params, ["theta", "p", "q", "honest_success", "honest_hash", "degenerate"], rows)
     return EXIT_OK
 
 
@@ -139,7 +136,7 @@ BC_HEADER = [
 
 def run_bc_analyze(params: dict) -> int:
     theta = float(params["theta"])
-    _ot_params(theta)  # refuses an angle outside (0, pi/4]
+    ot.OtParams(theta)  # refuses an angle outside (0, pi/4] before the ranges
     m_lo, m_hi = params["m_range"]
     n_lo, n_hi = params["n_range"]
     if m_lo < 1 or n_lo < 1 or m_hi < m_lo or n_hi < n_lo:
@@ -150,20 +147,9 @@ def run_bc_analyze(params: dict) -> int:
             f"M*N up to {m_hi * n_hi} exceeds the exact-computation cap {exact_cap}; "
             "pass --interval to emit rigorous interval rows instead"
         )
-    try:
-        reports = bc.sweep(
-            theta, range(m_lo, m_hi + 1), range(n_lo, n_hi + 1), exact_cap=exact_cap
-        )
-    except linalg.DimensionCapError as exc:
-        raise UsageError(str(exc)) from None
-
-    rows = []
-    json_rows = []
-    sentinel_fired = False
-    for rep in reports:
-        if rep.f_plus_d < 1.0 - 1e-9:
-            sentinel_fired = True
-        row = [
+    reports = bc.sweep(theta, range(m_lo, m_hi + 1), range(n_lo, n_hi + 1), exact_cap=exact_cap)
+    rows = [
+        [
             rep.params.theta,
             rep.params.m,
             rep.params.n,
@@ -177,51 +163,39 @@ def run_bc_analyze(params: dict) -> int:
             rep.classical.bob,
             "exact" if rep.d.exact else "interval",
         ]
-        rows.append(row)
-        json_rows.append(dict(zip(BC_HEADER, row)))
-    if params["format"] == "csv":
-        _write_csv(params["output"], BC_HEADER, rows)
-    else:
-        _write_json(params["output"], json_rows)
-    if sentinel_fired:
+        for rep in reports
+    ]
+    _write_table(params, BC_HEADER, rows)
+    if any(rep.f_plus_d < 1.0 - 1e-9 for rep in reports):
         print("invariant sentinel: some row has f + d < 1 - 1e-9", file=sys.stderr)
         return EXIT_SENTINEL
     return EXIT_OK
 
 
 def run_ot_feasibility(params: dict) -> int:
-    dims = tuple(int(d) for d in params["dims"])
-    dropped = list(params.get("drop") or [])
-    config = consistency.drop(*dropped) if dropped else consistency.FULL_CONFIG
-    try:
-        report = consistency.search(
-            dims,
-            restarts=int(params["restarts"]),
-            max_iters=int(params["max_iters"]),
-            seed=int(params["seed"]),
-            config=config,
-        )
-    except (linalg.DimensionCapError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    report = consistency.search(
+        tuple(int(d) for d in params["dims"]),
+        restarts=int(params["restarts"]),
+        max_iters=int(params["max_iters"]),
+        seed=int(params["seed"]),
+        config=consistency.drop(*(params.get("drop") or ())),
+    )
     _write_json(params["output"], report.to_json_dict())
     return EXIT_OK
 
 
 def run_qkd_demon(params: dict) -> int:
-    try:
-        config = qkd.QkdConfig(
-            n_pairs=int(params["n_pairs"]),
-            alice_settings=tuple(params["alice_angles"]),
-            bob_settings=tuple(params["bob_angles"]),
-            visibility=float(params["visibility"]),
-            channel_transmission_honest=float(params["t_honest"]),
-            channel_transmission_eve=float(params["t_eve"]),
-            bob_detector_eff=float(params["bob_eff"]),
-            attack=params["attack"],
-            seed=int(params["seed"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = qkd.QkdConfig(
+        n_pairs=int(params["n_pairs"]),
+        alice_settings=tuple(params["alice_angles"]),
+        bob_settings=tuple(params["bob_angles"]),
+        visibility=float(params["visibility"]),
+        channel_transmission_honest=float(params["t_honest"]),
+        channel_transmission_eve=float(params["t_eve"]),
+        bob_detector_eff=float(params["bob_eff"]),
+        attack=params["attack"],
+        seed=int(params["seed"]),
+    )
     trials_csv = params.get("trials_csv")
     stats, trials = qkd.simulate(config, keep_trials=bool(trials_csv))
     if trials_csv:
@@ -274,20 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qtwoparty {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_format):
+    def common(p, table=False):
         p.add_argument("--output", required=True, help="primary output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ot-analyze", help="transfer protocol probabilities over a theta grid")
-    common(p, "csv")
+    common(p, table=True)
     p.add_argument("--theta", type=parse_angle, action="append", default=[],
                    help="grid point; repeatable")
     p.add_argument("--grid", nargs=3, metavar=("START", "STOP", "COUNT"),
                    help="inclusive linear grid: two angles and a count")
 
     p = sub.add_parser("bc-analyze", help="commitment cheat probabilities over an (M, N) grid")
-    common(p, "csv")
+    common(p, table=True)
     p.add_argument("--theta", type=parse_angle, required=True)
     p.add_argument("--m-range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     p.add_argument("--n-range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
@@ -297,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit Fuchs-van de Graaf interval rows above the exact cap")
 
     p = sub.add_parser("ot-feasibility", help="constraint-residual search for ideal transfer")
-    common(p, "json")
+    common(p)
     p.add_argument("--dims", nargs=3, type=int, metavar=("DA", "DB", "DU"), default=[2, 2, 2])
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=60)
@@ -305,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constraint family to drop; repeatable")
 
     p = sub.add_parser("qkd-demon", help="key-distribution run with optional interception attack")
-    common(p, "json")
+    common(p)
     p.add_argument("--n-pairs", type=int, default=100_000)
     p.add_argument("--alice-angles", nargs="+", type=parse_angle,
                    default=[0.0, math.pi / 4])
@@ -325,64 +300,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args) -> dict:
-    if args.subcommand == "ot-analyze":
-        thetas = list(args.theta)
-        if args.grid:
-            start, stop, count = parse_angle(args.grid[0]), parse_angle(args.grid[1]), int(args.grid[2])
-            if count < 1:
-                raise UsageError("grid COUNT must be >= 1")
-            if count == 1:
-                thetas.append(start)
-            else:
-                step = (stop - start) / (count - 1)
-                thetas.extend(start + i * step for i in range(count))
-        return {"thetas": thetas, "output": args.output, "format": args.format}
-    if args.subcommand == "bc-analyze":
-        return {
-            "theta": args.theta,
-            "m_range": list(args.m_range),
-            "n_range": list(args.n_range),
-            "exact_cap": args.exact_cap,
-            "interval": bool(args.interval),
-            "output": args.output,
-            "format": args.format,
-        }
-    if args.subcommand == "ot-feasibility":
-        return {
-            "dims": list(args.dims),
-            "restarts": args.restarts,
-            "max_iters": args.max_iters,
-            "seed": args.seed,
-            "drop": list(args.drop),
-            "output": args.output,
-        }
-    if args.subcommand == "qkd-demon":
-        return {
-            "n_pairs": args.n_pairs,
-            "alice_angles": [float(a) for a in args.alice_angles],
-            "bob_angles": [float(a) for a in args.bob_angles],
-            "visibility": args.visibility,
-            "t_honest": args.t_honest,
-            "t_eve": args.t_eve,
-            "bob_eff": args.bob_eff,
-            "attack": args.attack,
-            "seed": args.seed,
-            "trials_csv": args.trials_csv,
-            "output": args.output,
-        }
-    raise UsageError(f"no parameter mapping for {args.subcommand!r}")
+def _grid_thetas(grid) -> list[float]:
+    """The inclusive linear grid of ``--grid START STOP COUNT``, or [] without one."""
+    if grid is None:
+        return []
+    try:
+        start, stop, count = parse_angle(grid[0]), parse_angle(grid[1]), int(grid[2])
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"--grid: {exc}") from None
+    if count < 1:
+        raise UsageError("grid COUNT must be >= 1")
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count)]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    params = vars(build_parser().parse_args(argv))
+    sub = params.pop("subcommand")
     try:
-        if args.subcommand == "replay":
-            return replay(args.manifest)
-        params = _params_from_args(args)
-        return run_with_manifest(args.subcommand, params, getattr(args, "seed", None))
-    except UsageError as exc:
+        if sub == "replay":
+            return replay(params["manifest"])
+        # the table runners ignore the seed; the manifest keeps it at top level only
+        seed = params.pop("seed") if sub in ("ot-analyze", "bc-analyze") else params["seed"]
+        if sub == "ot-analyze":
+            params["thetas"] = params.pop("theta") + _grid_thetas(params.pop("grid"))
+        return run_with_manifest(sub, params, seed)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -86,7 +86,8 @@ def relax(families) -> ConstraintConfig:
 
 def drop(*families: str) -> ConstraintConfig:
     """Configuration with the named families removed from the full set."""
-    return relax([f for f in FAMILIES if f not in families])
+    unknown = [f for f in families if f not in FAMILIES]  # kept, so ConstraintConfig refuses them
+    return relax([f for f in FAMILIES if f not in families] + unknown)
 
 
 @dataclass(frozen=True)

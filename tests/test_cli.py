@@ -304,3 +304,87 @@ def test_manifest_contents(tmp_path):
     assert manifest["artifact_version"]
     assert manifest["outputs"] == [str(out)]
     assert manifest["parameters"]["thetas"] == [0.5]
+
+
+def test_replay_refuses_unknown_drop_family(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    manifest = tmp_path / "typo.manifest.json"
+    manifest.write_text(json.dumps({
+        "subcommand": "ot-feasibility",
+        "seed": 0,
+        "parameters": {"dims": [1, 1, 1], "restarts": 1, "max_iters": 1, "seed": 0,
+                       "drop": ["alice_blnd"], "output": str(out)},
+    }))
+    assert run(["replay", str(manifest)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown constraint families") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_replay_invalid_json_manifest_usage_error(tmp_path, capsys):
+    bogus = tmp_path / "broken.manifest.json"
+    bogus.write_text("{not json")
+    assert run(["replay", str(bogus)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# refusals at the boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [["0.1", "0.5", "x"], ["foo", "0.5", "3"]],
+                         ids=["bad-count", "bad-angle"])
+def test_ot_analyze_malformed_grid_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "g.csv"
+    assert run(["ot-analyze", "--grid", *grid, "--output", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert not (tmp_path / "g.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["ot-feasibility", "qkd-demon"])
+def test_format_only_on_table_subcommands(tmp_path, sub):
+    with pytest.raises(SystemExit) as err:
+        run([sub, "--format", "csv", "--output", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the manifest's parameter set of each default invocation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (["ot-analyze", "--theta", "30deg"],
+         {"thetas": [math.radians(30)], "format": "csv"}),
+        (["bc-analyze", "--theta", "30deg", "--m-range", "1", "2", "--n-range", "1", "3"],
+         {"theta": math.radians(30), "m_range": [1, 2], "n_range": [1, 3], "exact_cap": 12,
+          "interval": False, "format": "csv"}),
+        (["ot-feasibility"],
+         {"dims": [2, 2, 2], "restarts": 200, "max_iters": 60, "seed": 0, "drop": []}),
+        (["qkd-demon"],
+         {"n_pairs": 100_000, "alice_angles": [0.0, math.pi / 4],
+          "bob_angles": [math.pi / 8, 3 * math.pi / 8], "visibility": 1.0, "t_honest": 0.4,
+          "t_eve": 0.8, "bob_eff": 0.8, "attack": "none", "seed": 0, "trials_csv": None}),
+    ],
+    ids=["ot-analyze", "bc-analyze", "ot-feasibility", "qkd-demon"],
+)
+def test_manifest_parameters_of_default_invocations(tmp_path, monkeypatch, argv, parameters):
+    # replay round-trips whatever a manifest holds, so only a pin catches a key
+    # that leaks in or drops out; the runner is stubbed because the manifest
+    # records the parameters it is handed, and the default search takes seconds
+    seen = []
+    monkeypatch.setitem(cli.RUNNERS, argv[0], lambda params: seen.append(dict(params)) or 0)
+    out = tmp_path / "out"
+    assert run([*argv, "--output", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["parameters"] == seen[0]
+    recorded = manifest["parameters"]
+    assert recorded.pop("output") == str(out)
+    assert recorded == parameters
+    assert manifest["seed"] == 0

@@ -284,6 +284,21 @@ def test_relax_validation():
     assert "alice_blind" not in cfg.families
 
 
+def test_drop_refuses_unknown_family_names():
+    # a misspelt name must not silently give the full constraint set
+    with pytest.raises(ValueError) as err:
+        cons.drop("alice_blnd")
+    with pytest.raises(ValueError) as config_err:
+        cons.ConstraintConfig(("alice_blnd",))
+    assert str(err.value) == str(config_err.value)
+    assert str(err.value).startswith("unknown constraint families ['alice_blnd']; valid: ")
+    with pytest.raises(ValueError, match=r"\['nonsense'\]"):
+        cons.drop("bob_info", "nonsense")
+    assert cons.drop() == cons.FULL_CONFIG
+    with pytest.raises(ValueError, match="at least one"):
+        cons.drop(*cons.FAMILIES)
+
+
 def test_residual_respects_relaxation():
     cand = _random_candidate((2, 2, 2), 3)
     full = cons.residual(cand)
