@@ -226,13 +226,26 @@ def run_with_manifest(subcommand: str, params: dict, seed) -> int:
 
 
 def replay(manifest_path: str) -> int:
-    """Re-run a recorded invocation; outputs are reproduced byte-identically."""
+    """Re-run a recorded invocation; outputs are reproduced byte-identically.
+
+    The manifest must be an object naming a subcommand, with parameters
+    under exactly the keys that ``main`` records for that subcommand.
+    """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise UsageError("the manifest is not a JSON object")
     sub = manifest.get("subcommand")
-    if sub not in RUNNERS:
+    if not isinstance(sub, str) or sub not in RUNNERS:
         raise UsageError(f"manifest names unknown subcommand {sub!r}")
-    return run_with_manifest(sub, manifest["parameters"], manifest.get("seed"))
+    params = manifest.get("parameters")
+    if not isinstance(params, dict):
+        raise UsageError("the manifest's parameters are not a JSON object")
+    expected = _recorded_keys(sub)
+    if set(params) != expected:
+        missing, extra = sorted(expected - set(params)), sorted(set(params) - expected)
+        raise UsageError(f"{sub} manifest parameters: missing {missing}, unexpected {extra}")
+    return run_with_manifest(sub, params, manifest.get("seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +329,36 @@ def _grid_thetas(grid) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def _reshape(sub: str, params: dict):
+    """Turn parsed arguments into the recorded parameters, in place; returns the seed."""
+    # the table runners ignore the seed; the manifest keeps it at top level only
+    seed = params.pop("seed") if sub in ("ot-analyze", "bc-analyze") else params["seed"]
+    if sub == "ot-analyze":
+        params["thetas"] = params.pop("theta") + _grid_thetas(params.pop("grid"))
+    return seed
+
+
+def _recorded_keys(sub: str) -> set[str]:
+    """The parameter keys ``main`` records for ``sub``: its parser's dests, reshaped."""
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # argparse sets no attribute for a SUPPRESS default, such as --help's
+    params = {
+        a.dest: a.default
+        for a in subparsers.choices[sub]._actions
+        if a.default is not argparse.SUPPRESS
+    }
+    _reshape(sub, params)
+    return set(params)
+
+
 def main(argv=None) -> int:
     params = vars(build_parser().parse_args(argv))
     sub = params.pop("subcommand")
     try:
         if sub == "replay":
             return replay(params["manifest"])
-        # the table runners ignore the seed; the manifest keeps it at top level only
-        seed = params.pop("seed") if sub in ("ot-analyze", "bc-analyze") else params["seed"]
-        if sub == "ot-analyze":
-            params["thetas"] = params.pop("theta") + _grid_thetas(params.pop("grid"))
+        seed = _reshape(sub, params)
         return run_with_manifest(sub, params, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

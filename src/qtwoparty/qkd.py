@@ -15,6 +15,12 @@ whenever t_eve >= (number of receiver settings) * t_honest.
 
 The sender's detectors are taken as perfectly efficient so the coincidence
 filter is driven entirely by the receiver's arm.
+
+A run is reproducible from its config and seed: ``simulate`` makes its
+random draws in one fixed order (see its docstring), and that order is the
+contract that trial CSVs and recorded statistics rest on. The statistics
+are one count over a small integer key per trial, so every cell count and
++-1 sum is an exact integer.
 """
 
 from __future__ import annotations
@@ -56,19 +62,25 @@ class QkdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_pairs) < 1:
+        n_pairs = int(self.n_pairs)
+        if n_pairs != self.n_pairs:
+            raise ValueError(f"n_pairs must be an integer, got {self.n_pairs!r}")
+        if n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
-        object.__setattr__(self, "n_pairs", int(self.n_pairs))
+        object.__setattr__(self, "n_pairs", n_pairs)
         object.__setattr__(self, "alice_settings", tuple(float(a) for a in self.alice_settings))
         object.__setattr__(self, "bob_settings", tuple(float(a) for a in self.bob_settings))
         if not self.alice_settings or not self.bob_settings:
             raise ValueError("setting lists must be nonempty")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
+        visibility = float(self.visibility)
+        if not 0.0 <= visibility <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        object.__setattr__(self, "visibility", visibility)
         for name in ("channel_transmission_honest", "channel_transmission_eve", "bob_detector_eff"):
             val = float(getattr(self, name))
             if not 0.0 < val <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {val}")
+            object.__setattr__(self, name, val)
         if self.attack not in (ATTACK_NONE, ATTACK_DEMON):
             raise ValueError(f"attack must be {ATTACK_NONE!r} or {ATTACK_DEMON!r}")
 
@@ -198,12 +210,6 @@ class QkdRunStats:
         }
 
 
-def _correlated_partner(rng, first: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """Second +-1 outcome with E[first * second] = corr and uniform marginal."""
-    agree = rng.random(first.size) < 0.5 * (1.0 + corr)
-    return np.where(agree, first, -first)
-
-
 def simulate(config: QkdConfig, *, keep_trials: bool = False):
     """Run the trial-slot model; returns (stats, trials), trials None unless kept.
 
@@ -212,41 +218,62 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     Attack path: the interceptor measures the flying photon against her own
     uniformly drawn setting, and the engineered signal registers at the
     receiver only on matching settings, through the replaced channel.
-    Deterministic per (config, seed): one private generator per call.
+
+    Deterministic per (config, seed): one private generator per call. Its
+    draws, n of each in this order, are the reproducibility contract: the
+    sender's settings, the receiver's settings, the sender's outcomes, the
+    interceptor's settings (attack path only), the agreement uniforms and
+    the registration uniforms. A trial's partner outcome agrees with the
+    sender's when its uniform falls below (1 + E) / 2, read from a table
+    over the setting pairs. The statistics are one count over a per-trial
+    key: the setting cell, whether the receiver registered, agreement, the
+    sender's +1 and, on the attack path, whether the receiver's outcome is
+    the interceptor's.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_pairs
     a_angles = np.array(config.alice_settings)
     b_angles = np.array(config.bob_settings)
-
-    a_set = rng.integers(0, a_angles.size, size=n)
-    b_set = rng.integers(0, b_angles.size, size=n)
-    a_out = 2 * rng.integers(0, 2, size=n) - 1
-
-    if config.attack == ATTACK_NONE:
-        corr = config.visibility * np.cos(2.0 * (a_angles[a_set] - b_angles[b_set]))
-        b_raw = _correlated_partner(rng, a_out, corr)
-        p_detect = config.channel_transmission_honest * config.bob_detector_eff
-        registered = rng.random(n) < p_detect
-        b_out = np.where(registered, b_raw, NO_DETECTION)
-        e_set = e_out = None
-    else:
-        e_set = rng.integers(0, b_angles.size, size=n)
-        corr = config.visibility * np.cos(2.0 * (a_angles[a_set] - b_angles[e_set]))
-        e_out = _correlated_partner(rng, a_out, corr)
-        p_deliver = config.channel_transmission_eve * config.bob_detector_eff
-        registered = (e_set == b_set) & (rng.random(n) < p_deliver)
-        b_out = np.where(registered, e_out, NO_DETECTION)
-
-    coincident = b_out != NO_DETECTION  # the sender always registers
-
-    n_coin = int(coincident.sum())
     na, nb = a_angles.size, b_angles.size
-    # tallies in trial order, as sequential adds: the +-1 sums are exact
-    prod = (a_out[coincident] * b_out[coincident]).astype(float)
-    cell = a_set[coincident] * nb + b_set[coincident]
-    cell_counts = np.bincount(cell, minlength=na * nb).reshape(na, nb)
-    cell_sums = np.bincount(cell, weights=prod, minlength=na * nb).reshape(na, nb)
+    demon = config.attack == ATTACK_DEMON
+
+    a_set = rng.integers(0, na, size=n)
+    b_set = rng.integers(0, nb, size=n)
+    a_out = 2 * rng.integers(0, 2, size=n) - 1
+    # the partner measures the sender's twin photon: the receiver, or the interceptor
+    partner_set = rng.integers(0, nb, size=n) if demon else b_set
+    # one small integer per trial: the setting cell, then one bit per flag below
+    # (at most four). On the attack path the cell is the interceptor's, which
+    # is the receiver's wherever he registers.
+    key = (a_set * nb + partner_set).astype(np.min_scalar_type(na * nb << 4))
+    # P(partner agrees with the sender) = (1 + E) / 2 per setting pair, E = V cos 2(a - b)
+    p_agree = 0.5 * (1.0 + config.visibility * np.cos(2.0 * (a_angles[:, None] - b_angles)))
+    agree = rng.random(n) < p_agree.ravel()[key]
+    # the sender always registers, so a coincidence is the receiver's registration
+    if demon:
+        p_deliver = config.channel_transmission_eve * config.bob_detector_eff
+        coincident = (partner_set == b_set) & (rng.random(n) < p_deliver)
+    else:
+        coincident = rng.random(n) < config.channel_transmission_honest * config.bob_detector_eff
+
+    a_plus = a_out > 0
+    flags = [coincident, agree, a_plus]
+    b_out = e_out = None
+    if demon or keep_trials:
+        partner_out = 2 * (a_plus == agree) - 1  # the sender's outcome where they agree
+        b_out = partner_out * coincident  # NO_DETECTION, 0, where nothing registers
+    if demon:
+        e_out = partner_out
+        flags.append(b_out == e_out)
+    for flag in flags:
+        key <<= 1
+        key |= flag
+    # coincident trials by (a_set, b_set, agree, a_out > 0, [b_out == e_out])
+    tally = np.bincount(key, minlength=na * nb << len(flags)).reshape(na, nb, 2, 2, 2, -1)[:, :, 1]
+    cell_counts = tally.sum(axis=(2, 3, 4))
+    # a_out * b_out is +1 where they agree and -1 elsewhere: exact integer sums
+    cell_sums = (tally[:, :, 1] - tally[:, :, 0]).sum(axis=(2, 3)).astype(float)
+    n_coin = int(cell_counts.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         correlators = np.where(cell_counts > 0, cell_sums / np.maximum(cell_counts, 1), np.nan)
         stderr = np.where(
@@ -256,16 +283,15 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
         )
 
     if n_coin:
-        alice_plus = float((a_out[coincident] > 0).mean())
-        bob_plus = float((b_out[coincident] > 0).mean())
+        alice_plus = int(tally[:, :, :, 1].sum()) / n_coin
+        # the receiver reads +1 where agreement and the sender's +1 coincide
+        bob_plus = int(tally[:, :, 1, 1].sum() + tally[:, :, 0, 0].sum()) / n_coin
     else:
         alice_plus = bob_plus = math.nan
 
     eve_fraction = None
-    if config.attack == ATTACK_DEMON:
-        eve_fraction = (
-            float((b_out[coincident] == e_out[coincident]).mean()) if n_coin else math.nan
-        )
+    if demon:
+        eve_fraction = int(tally[..., 1].sum()) / n_coin if n_coin else math.nan
 
     stats = QkdRunStats(
         config=config,
@@ -294,7 +320,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
             bob_setting=b_set,
             alice_outcome=a_out,
             bob_outcome=b_out,
-            eve_setting=e_set,
+            eve_setting=partner_set if demon else None,
             eve_outcome=e_out,
             coincident=coincident,
         )

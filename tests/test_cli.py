@@ -329,6 +329,37 @@ def test_replay_invalid_json_manifest_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+FEASIBILITY_PARAMETERS = {"dims": [1, 1, 1], "restarts": 1, "max_iters": 1, "seed": 0,
+                          "drop": []}
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"subcommand": ["ot-feasibility"], "parameters": {}}, "unknown subcommand"),
+        ({"subcommand": "qkd-demon", "seed": 0, "parameters": [1]}, "not a JSON object"),
+        ({"subcommand": "ot-feasibility", "seed": 0,
+          "parameters": {k: v for k, v in FEASIBILITY_PARAMETERS.items() if k != "restarts"}},
+         "missing ['restarts']"),
+        ({"subcommand": "ot-feasibility", "seed": 0,
+          "parameters": {**FEASIBILITY_PARAMETERS, "format": "csv"}},
+         "unexpected ['format']"),
+    ],
+    ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key"],
+)
+def test_replay_refuses_malformed_manifest(tmp_path, capsys, manifest, message):
+    out = tmp_path / "out.json"
+    if isinstance(manifest, dict) and isinstance(manifest["parameters"], dict):
+        manifest["parameters"]["output"] = str(out)
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run(["replay", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.manifest.json"]
+
+
 # ---------------------------------------------------------------------------
 # refusals at the boundary
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import csv
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from qtwoparty import qkd
+
+import qkd_oracle
 
 S_QUANTUM = 2 * math.sqrt(2)
 
@@ -32,6 +34,21 @@ def test_config_validation():
         qkd.QkdConfig(n_pairs=10, channel_transmission_honest=0.0)
     with pytest.raises(ValueError):
         qkd.QkdConfig(n_pairs=10, attack="evil")
+    # a fractional or textual pair count is refused, not truncated
+    for n_pairs in (2.7, "10"):
+        with pytest.raises(ValueError):
+            qkd.QkdConfig(n_pairs=n_pairs)
+    # numeric fields are stored as the floats they were validated as
+    config = qkd.QkdConfig(
+        n_pairs=10.0, visibility="0.5", channel_transmission_honest=np.float32(0.5),
+        channel_transmission_eve=1, bob_detector_eff="0.8",
+    )
+    assert type(config.n_pairs) is int and config.n_pairs == 10
+    assert (config.visibility, config.bob_detector_eff) == (0.5, 0.8)
+    for name in ("visibility", "channel_transmission_honest", "channel_transmission_eve",
+                 "bob_detector_eff"):
+        assert type(getattr(config, name)) is float, name
+    qkd.simulate(config)
 
 
 def test_honest_chsh_reaches_quantum_value():
@@ -339,9 +356,10 @@ def test_write_csv_memory_bounded_in_rows(tmp_path):
 
 
 def _add_at_stats_json(stats, trials) -> str:
-    """``stats`` with its cells re-tallied from the trials by ``np.add.at``, as JSON text."""
+    """``stats`` re-tallied from the trials by ``np.add.at`` and masked means, as JSON text."""
     na, nb = stats.cell_counts.shape
     coin = trials.coincident
+    n_coin = int(coin.sum())
     counts = np.zeros((na, nb), dtype=int)
     sums = np.zeros((na, nb), dtype=float)
     if coin.any():
@@ -353,9 +371,20 @@ def _add_at_stats_json(stats, trials) -> str:
         stderr = np.where(
             counts > 0, np.sqrt(np.maximum(1.0 - corr**2, 0.0) / np.maximum(counts, 1)), np.nan
         )
+
+    def fraction(hits):
+        return float(hits[coin].mean()) if n_coin else math.nan
+
+    eve = None
+    if trials.eve_outcome is not None:
+        eve = fraction(trials.bob_outcome == trials.eve_outcome)
     expected = replace(
-        stats, cell_counts=counts, correlators=corr, correlator_stderr=stderr,
+        stats, n_coincident=n_coin, coincidence_rate=n_coin / coin.size,
+        cell_counts=counts, correlators=corr, correlator_stderr=stderr,
         chsh_value=None, chsh_stderr=None,
+        alice_plus_fraction=fraction(trials.alice_outcome > 0),
+        bob_plus_fraction=fraction(trials.bob_outcome > 0),
+        eve_knowledge_fraction=eve,
     )
     if na >= 2 and nb >= 2:
         try:
@@ -387,3 +416,69 @@ def test_stats_match_add_at_oracle(kw):
     if kw["n_pairs"] == 1:
         assert stats.n_coincident == 0
     assert json.dumps(stats.to_json_dict()) == _add_at_stats_json(stats, trials)
+
+
+# ---------------------------------------------------------------------------
+# the per-trial oracle: same draws, so the same bytes
+# ---------------------------------------------------------------------------
+
+# the first two of each side are the CHSH settings; the rest give 3- and 4-setting tables
+ALICE_FOUR = (0.0, math.pi / 4, 0.3, 1.2)
+BOB_FOUR = (math.pi / 8, 3 * math.pi / 8, 0.0, 2.0)
+
+
+def _assert_matches_oracle(config):
+    stats, trials = qkd.simulate(config, keep_trials=True)
+    ref_stats, ref_trials = qkd_oracle.simulate(config, keep_trials=True)
+    assert json.dumps(stats.to_json_dict()) == json.dumps(ref_stats.to_json_dict()), config
+    assert json.dumps(qkd.simulate(config)[0].to_json_dict()) == json.dumps(
+        ref_stats.to_json_dict()
+    ), config
+    for name in (f.name for f in fields(qkd.TrialData)):
+        got, ref = getattr(trials, name), getattr(ref_trials, name)
+        if ref is None:
+            assert got is None, (name, config)
+            continue
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, config)
+    return stats
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+@pytest.mark.parametrize("n_pairs", [1, 7, qkd.CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("visibility", [0.0, 0.37, 1.0])
+def test_simulate_matches_per_trial_oracle(attack, n_pairs, visibility):
+    for na in range(1, 5):
+        for nb in range(1, 5):
+            for seed in (0, 1, 2):
+                _assert_matches_oracle(qkd.QkdConfig(
+                    n_pairs=n_pairs, alice_settings=ALICE_FOUR[:na],
+                    bob_settings=BOB_FOUR[:nb], visibility=visibility, attack=attack,
+                    seed=seed,
+                ))
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_matches_oracle_without_coincidences(attack, seed):
+    config = qkd.QkdConfig(
+        n_pairs=7, channel_transmission_honest=1e-6, channel_transmission_eve=1e-6,
+        bob_detector_eff=1e-6, attack=attack, seed=seed, **CHSH_KW,
+    )
+    assert _assert_matches_oracle(config).n_coincident == 0
+
+
+@pytest.mark.parametrize("keep_trials", [False, True])
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+def test_simulate_peak_memory_within_oracle(attack, keep_trials):
+    config = qkd.QkdConfig(n_pairs=1_000_000, attack=attack, seed=18, **CHSH_KW)
+
+    def peak(simulate):
+        tracemalloc.start()
+        try:
+            simulate(config, keep_trials=keep_trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new, ref = peak(qkd.simulate), peak(qkd_oracle.simulate)
+    assert new <= ref, (new, ref)
