@@ -52,10 +52,11 @@ class BcParams:
     theta: float
 
     def __post_init__(self):
-        if int(self.m) < 1 or int(self.n) < 1:
+        m, n = int(self.m), int(self.n)
+        if (m, n) != (self.m, self.n) or m < 1 or n < 1:
             raise ValueError(f"m and n must be positive integers, got ({self.m}, {self.n})")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         # delegates the (0, pi/4] range check
         object.__setattr__(self, "theta", ot.OtParams(self.theta).theta)
 
@@ -323,6 +324,6 @@ def sweep(theta: float, m_values, n_values, *, exact_cap: int = EXACT_CAP) -> li
     security = ot.partial_security(theta)
     return [
         cheat_report(BcParams(m, n, theta), exact_cap=exact_cap, security=security)
-        for m in sorted(set(int(v) for v in m_values))
-        for n in sorted(set(int(v) for v in n_values))
+        for m in sorted(set(m_values))
+        for n in sorted(set(n_values))
     ]

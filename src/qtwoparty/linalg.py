@@ -1,7 +1,8 @@
 """Dense linear algebra on small Hilbert spaces.
 
 The protocol modules share the primitives here: Hermitian spectral
-decomposition, POVM and pure-state checks, and the trace distance
+decomposition, the pure-state check, the measurement carrier ``Povm`` and
+the trace distance
 
     D(x, y) = (1/2) Tr|x - y|
 
@@ -9,13 +10,16 @@ with the trace norm under it, for one matrix or a stack.
 
 Operators are plain numpy arrays (real or complex); the functions are
 dtype-agnostic, and real symmetric input keeps the much faster real LAPACK
-paths. The constraint residuals of ``consistency`` take their marginals
-with their own einsums, and ``bc`` computes f in closed form.
+paths. A ``Povm`` is a valid measurement or is not constructed; its
+constructor is the one place that checks hermiticity, positivity and
+completeness of measurement effects. The constraint residuals of
+``consistency`` take their marginals with their own einsums, and ``bc``
+computes f in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +48,9 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max entrywise |M - M^dagger|."""
-    return float(np.abs(m - m.conj().T).max())
+def hermiticity_defect(m: np.ndarray) -> np.ndarray:
+    """Max entrywise |M - M^dagger|, for one matrix or each of a stack (..., n, n)."""
+    return np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
 
 
 def check_pure(psi: np.ndarray, *, name: str = "psi") -> np.ndarray:
@@ -106,12 +110,15 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered list of labeled measurement effects on one Hilbert space.
+    """Ordered list of distinctly labeled measurement effects on one Hilbert space.
 
-    Structural problems (non-square, mismatched dimensions) are rejected at
-    construction; the numeric invariants (hermiticity, positivity,
-    completeness) are checked by :func:`validate_povm`, which reports rather
-    than raises.
+    A Povm is a valid measurement or is not constructed. Construction
+    raises ValueError, naming the invariant, the label and the magnitude,
+    unless the effects are square with one dimension, the labels are
+    distinct, each effect is Hermitian within ``HERMITICITY_ATOL`` with
+    smallest eigenvalue at least ``-PSD_EIG_TOL``, and the effects sum to
+    the identity within ``POVM_COMPLETENESS_ATOL`` (entrywise). The stored
+    arrays are the ones given.
     """
 
     effects: tuple[tuple[str, np.ndarray], ...]
@@ -125,6 +132,23 @@ class Povm:
         dims = {m.shape[0] for _, m in mats}
         if len(dims) != 1:
             raise ValueError(f"effects have mismatched dimensions: {sorted(dims)}")
+        labels = [label for label, _ in mats]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"not a POVM: labels must be distinct, repeated: {repeated}")
+        # one stacked pass; each invariant reports its worst effect
+        stack = np.stack([m for _, m in mats])
+        checks = (
+            ("hermiticity", labels, HERMITICITY_ATOL, hermiticity_defect(stack)),
+            ("positivity", labels, PSD_EIG_TOL, -np.linalg.eigvalsh(stack)[:, 0]),
+            ("completeness", ["sum"], POVM_COMPLETENESS_ATOL,
+             [np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max()]),
+        )
+        for invariant, names, tol, magnitudes in checks:
+            i = int(np.argmax(magnitudes))
+            if magnitudes[i] > tol:
+                raise ValueError(f"not a POVM: {invariant}[{names[i]}] fails by "
+                                 f"{float(magnitudes[i]):.3e} (tolerance {tol})")
         object.__setattr__(self, "effects", tuple(mats))
 
     @property
@@ -145,47 +169,3 @@ class Povm:
         """Born-rule outcome probabilities Tr(rho E) for each effect."""
         return {lab: float(np.trace(rho @ m).real) for lab, m in self.effects}
 
-
-@dataclass(frozen=True)
-class PovmViolation:
-    invariant: str
-    label: str
-    magnitude: float
-
-    def __str__(self) -> str:
-        return f"{self.invariant}[{self.label}]: {self.magnitude:.3e}"
-
-
-@dataclass(frozen=True)
-class PovmValidation:
-    violations: tuple[PovmViolation, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_povm(povm: Povm) -> PovmValidation:
-    """Report every violated POVM invariant with its magnitude.
-
-    Checks each effect for hermiticity and positivity, and the effect sum
-    for completeness (entrywise distance from the identity). An empty report
-    means the POVM is valid.
-    """
-    violations: list[PovmViolation] = []
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for label, m in povm.effects:
-        dev = hermiticity_defect(m)
-        if dev > HERMITICITY_ATOL:
-            violations.append(PovmViolation("hermiticity", label, dev))
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -PSD_EIG_TOL:
-            violations.append(PovmViolation("positivity", label, float(-w[0])))
-        total += m
-    defect = float(np.abs(total - np.eye(povm.dim)).max())
-    if defect > POVM_COMPLETENESS_ATOL:
-        violations.append(PovmViolation("completeness", "sum", defect))
-    return PovmValidation(tuple(violations))

@@ -81,23 +81,18 @@ def make_states(params: OtParams | float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _usd_effects(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw unambiguous-discrimination effects for any angle.
+    """Raw unambiguous-discrimination effects for any angle, unchecked.
 
     E_b is proportional to the projector orthogonal to the *other* signal
     state, so Tr(rho_b E_{1-b}) vanishes identically. E_hash is formed by
-    completeness and checked for positivity, which fails for theta > pi/4.
+    completeness; it is not positive for theta > pi/4, where ``linalg.Povm``
+    refuses the three (callers pass an ``OtParams`` angle).
     """
     c, s = math.cos(theta), math.sin(theta)
     norm = 1.0 + math.cos(2 * theta)
     e0 = np.array([[s * s, s * c], [s * c, c * c]]) / norm
     e1 = np.array([[s * s, -s * c], [-s * c, c * c]]) / norm
     ehash = np.eye(2) - e0 - e1
-    wmin = float(np.linalg.eigvalsh(ehash)[0])
-    if wmin < -linalg.PSD_EIG_TOL:
-        raise ValueError(
-            f"unambiguous discrimination impossible: hash effect has eigenvalue {wmin:.3e} < 0 "
-            f"(theta = {theta} exceeds pi/4)"
-        )
     return e0, e1, ehash
 
 
@@ -249,6 +244,9 @@ def simulate_rounds(
     per seed; one private generator per call.
     """
     params = _coerce(params)
+    if int(n_rounds) != n_rounds:
+        raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
+    n_rounds = int(n_rounds)
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     rng = np.random.default_rng(seed)

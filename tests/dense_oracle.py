@@ -9,6 +9,7 @@ through the general-purpose routines here, and compare:
     partial trace        partial_trace
     fidelity             F(a, b) = Tr|sqrt(a) sqrt(b)|
     density checks       check_density
+    POVM check           assert_povm
     seeded random states random_pure, random_density
 
 Subsystem ordering is most-significant-left: in ``tensor_product(a, b)``
@@ -48,6 +49,16 @@ def check_density(rho: np.ndarray, *, name: str = "rho") -> np.ndarray:
     if w[0] < -PSD_EIG_TOL:
         raise ValueError(f"{name} has eigenvalue {w[0]:.3e} below -{PSD_EIG_TOL}")
     return rho
+
+
+def assert_povm(povm) -> None:
+    """Assert each effect is PSD within 1e-9 and the effects sum to I within 1e-10.
+
+    Reads the eigenvalues and the sum directly, not through ``linalg.Povm``.
+    """
+    effects = np.stack([eff for _, eff in povm.effects])
+    assert np.linalg.eigvalsh(effects)[:, 0].min() >= -1e-9
+    assert np.abs(effects.sum(axis=0) - np.eye(povm.dim)).max() < 1e-10
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,12 +318,12 @@ def test_09_manifest_determinism(tmp_path):
     for argv in invocations:
         assert cli.main(argv) == 0
         manifest_path = argv[argv.index("--output") + 1] + cli.MANIFEST_SUFFIX
-        manifest = json.loads(open(manifest_path).read())
-        originals = {p: open(p, "rb").read() for p in manifest["outputs"]}
+        manifest = json.loads(Path(manifest_path).read_text())
+        originals = {p: Path(p).read_bytes() for p in manifest["outputs"]}
         for p in manifest["outputs"]:
-            open(p, "wb").write(b"tampered")
+            Path(p).write_bytes(b"tampered")
         assert cli.main(["replay", manifest_path]) == 0
         for p, blob in originals.items():
-            assert open(p, "rb").read() == blob, f"{argv[0]} replay not byte-identical for {p}"
+            assert Path(p).read_bytes() == blob, f"{argv[0]} replay not byte-identical for {p}"
     elapsed = time.time() - t0
     _report(9, True, f"all four subcommands replay byte-identically from manifests ({elapsed:.1f}s)")

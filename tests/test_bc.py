@@ -313,6 +313,13 @@ def test_params_validation():
         bc.BcParams(1, -2, PI6)
     with pytest.raises(ValueError):
         bc.BcParams(1, 1, 1.0)  # theta beyond pi/4
+    # a fractional count is refused, not truncated
+    with pytest.raises(ValueError, match=r"got \(2\.7, 3\.9\)"):
+        bc.BcParams(2.7, 3.9, PI6)
+    with pytest.raises(ValueError, match=r"got \(1\.5, 2\.2\)"):
+        bc.sweep(PI6, [1.5], [2.2])
+    params = bc.BcParams(2.0, np.int64(3), PI6)
+    assert (params.m, params.n) == (2, 3) and type(params.m) is int and type(params.n) is int
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -277,14 +278,13 @@ def test_replay_reproduces_outputs_byte_identically(tmp_path, argv_builder):
     assert run(argv) == 0
     manifest_path = next(p for p in tmp_path.iterdir() if p.name.endswith(".manifest.json"))
     manifest = json.loads(manifest_path.read_text())
-    originals = {path: open(path, "rb").read() for path in manifest["outputs"]}
+    originals = {path: Path(path).read_bytes() for path in manifest["outputs"]}
     original_manifest = manifest_path.read_bytes()
     for path in manifest["outputs"]:
-        with open(path, "wb") as fh:
-            fh.write(b"clobbered")
+        Path(path).write_bytes(b"clobbered")
     assert run(["replay", str(manifest_path)]) == 0
     for path, blob in originals.items():
-        assert open(path, "rb").read() == blob
+        assert Path(path).read_bytes() == blob
     assert manifest_path.read_bytes() == original_manifest
 
 

@@ -284,6 +284,25 @@ def test_relax_validation():
     assert "alice_blind" not in cfg.families
 
 
+def test_config_refuses_repeated_families():
+    # each family counts once in the total, so a repeat is refused, not summed twice
+    with pytest.raises(ValueError, match=r"must be distinct, repeated: \['bob_info'\]"):
+        cons.relax(["bob_info", "bob_info"])
+    with pytest.raises(ValueError, match=r"repeated: \['half_bit', 'wrong_bit'\]"):
+        cons.ConstraintConfig(("wrong_bit", "half_bit", "wrong_bit", "half_bit"))
+
+
+def test_split_hash_effect_is_not_a_povm():
+    # hash split into two equal halves is a valid measurement with four
+    # outcomes, but residual would score only the first half: a Povm
+    # refuses the repeated label, so no such candidate can be built
+    effects = dict(cons.usd_witness().povm.effects)
+    half = effects[ot.HASH] / 2
+    with pytest.raises(ValueError, match=r"repeated: \['hash'\]"):
+        linalg.Povm(((ot.BIT0, effects[ot.BIT0]), (ot.BIT1, effects[ot.BIT1]),
+                     (ot.HASH, half), (ot.HASH, half)))
+
+
 def test_drop_refuses_unknown_family_names():
     # a misspelt name must not silently give the full constraint set
     with pytest.raises(ValueError) as err:
@@ -324,7 +343,7 @@ def test_total_is_sum_of_components(config):
 def test_candidate_from_vector_produces_valid_povm():
     for seed in range(10):
         cand = _random_candidate((2, 2, 2), 200 + seed)
-        assert linalg.validate_povm(cand.povm).ok
+        oracle.assert_povm(cand.povm)
         linalg.check_pure(cand.psi0)
         linalg.check_pure(cand.psi1)
     with pytest.raises(ValueError):
@@ -339,17 +358,17 @@ def test_candidate_from_vector_refuses_singular_povm_segment(dims):
     db = dims[1]
     zero = rng.standard_normal(cons._n_params(dims))
     zero[lo:] = 0.0
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"not a POVM: completeness\[sum\]"):
         cons.candidate_from_vector(zero, dims)
     # every G_i (real and imaginary part) sends the last basis vector to 0
     shared = rng.standard_normal(cons._n_params(dims))
     shared[lo:hi].reshape(3, 2, db, db)[..., -1] = 0.0
-    with pytest.raises(ValueError, match="degenerate"):
+    with pytest.raises(ValueError, match=r"not a POVM: completeness\[sum\]"):
         cons.candidate_from_vector(shared, dims)
     # a kernel that only one G_i has leaves S invertible
     one = rng.standard_normal(cons._n_params(dims))
     one[lo:hi].reshape(3, 2, db, db)[0, ..., -1] = 0.0
-    assert linalg.validate_povm(cons.candidate_from_vector(one, dims).povm).ok
+    oracle.assert_povm(cons.candidate_from_vector(one, dims).povm)
 
 
 # ---------------------------------------------------------------------------

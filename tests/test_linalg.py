@@ -282,38 +282,47 @@ def test_fidelity_symmetric_on_rank_deficient_pairs(dim):
 
 
 # ---------------------------------------------------------------------------
-# POVM validation
+# POVM validation, which is construction: a Povm is valid or is not built
 # ---------------------------------------------------------------------------
 
 
 def test_validate_povm_singleton_identity():
-    report = linalg.validate_povm(linalg.Povm((("all", np.eye(2)),)))
-    assert report.ok
+    povm = linalg.Povm((("all", np.eye(2)),))
+    assert povm.labels == ("all",)
 
 
 def test_validate_povm_double_identity():
-    report = linalg.validate_povm(linalg.Povm((("a", np.eye(2)), ("b", np.eye(2)))))
-    assert not report.ok
-    kinds = {(v.invariant, round(v.magnitude, 12)) for v in report.violations}
-    assert ("completeness", 1.0) in kinds
+    with pytest.raises(ValueError, match=r"completeness\[sum\] fails by 1\.000e\+00"):
+        linalg.Povm((("a", np.eye(2)), ("b", np.eye(2))))
 
 
 def test_validate_povm_negative_effect():
-    bad = linalg.Povm((("a", np.diag([1.5, 1.0])), ("b", np.diag([-0.5, 0.0]))))
-    report = linalg.validate_povm(bad)
-    assert any(v.invariant == "positivity" and abs(v.magnitude - 0.5) < 1e-12
-               for v in report.violations)
+    with pytest.raises(ValueError, match=r"positivity\[b\] fails by 5\.000e-01"):
+        linalg.Povm((("a", np.diag([1.5, 1.0])), ("b", np.diag([-0.5, 0.0]))))
+
+
+def test_validate_povm_repeated_label():
+    half = np.eye(2) / 2
+    with pytest.raises(ValueError, match=r"labels must be distinct, repeated: \['a'\]"):
+        linalg.Povm((("a", half), ("a", half)))
+
+
+def test_validate_povm_non_hermitian_effect():
+    # the skew parts cancel in the sum, so hermiticity alone is at fault,
+    # worst in c
+    skew = np.array([[0.0, 1e-6], [-1e-6, 0.0]])
+    third = np.eye(2) / 3
+    with pytest.raises(ValueError, match=r"hermiticity\[c\] fails by 4\.000e-06"):
+        linalg.Povm((("a", third + skew), ("b", third + skew), ("c", third - 2 * skew)))
 
 
 def test_validate_povm_usd():
     # eigenvalue-check oracle: each effect PSD and the sum is the identity
     povm = make_usd_povm(np.pi / 6)
-    assert linalg.validate_povm(povm).ok
-    total = np.zeros((2, 2))
-    for _, eff in povm.effects:
-        assert np.linalg.eigvalsh(eff)[0] >= -1e-9
-        total = total + eff
-    assert np.abs(total - np.eye(2)).max() < 1e-10
+    oracle.assert_povm(povm)
+    effects = tuple((label, eff.copy()) for label, eff in povm.effects)
+    rebuilt = linalg.Povm(effects)
+    assert all(a is b for (_, a), (_, b) in zip(rebuilt.effects, effects))
 
 
 def test_povm_structural_errors():

@@ -9,6 +9,8 @@ import pytest
 
 from qtwoparty import linalg, ot
 
+import dense_oracle as oracle
+
 THETA_GRID = [(i / 100) * math.pi / 4 for i in range(1, 101)]
 
 
@@ -68,13 +70,14 @@ def test_usd_success_and_hash_probabilities():
 
 
 def test_usd_construction_error_beyond_pi_over_4():
-    with pytest.raises(ValueError):
-        ot._usd_effects(0.9)
+    # the hash effect loses positivity past the orthogonal limit
+    with pytest.raises(ValueError, match=r"positivity\[hash\]"):
+        linalg.Povm(tuple(zip(ot.OUTCOME_LABELS, ot._usd_effects(0.9))))
 
 
 def test_usd_povm_valid_on_grid():
     for theta in THETA_GRID:
-        assert linalg.validate_povm(ot.make_usd_povm(theta)).ok
+        oracle.assert_povm(ot.make_usd_povm(theta))
 
 
 def test_honest_distribution_paper_point():
@@ -183,7 +186,7 @@ def test_helstrom_optimality_over_random_povms():
 def test_helstrom_povm_achieves_q():
     for theta in (math.pi / 6, math.pi / 8):
         povm = ot.helstrom_povm(theta)
-        assert linalg.validate_povm(povm).ok
+        oracle.assert_povm(povm)
         rho0, rho1 = (linalg.projector(s) for s in ot.make_states(theta))
         success = 0.5 * povm.probabilities(rho0)[ot.BIT0] + 0.5 * povm.probabilities(rho1)[ot.BIT1]
         assert abs(success - ot.bob_helstrom_prob(theta)) < 1e-12
@@ -230,5 +233,9 @@ def test_simulate_determinism_and_honest_never_wrong():
 def test_simulate_argument_errors():
     with pytest.raises(ValueError):
         ot.simulate_rounds(math.pi / 6, 0)
+    with pytest.raises(ValueError, match="n_rounds must be an integer, got 2.5"):
+        ot.simulate_rounds(math.pi / 6, 2.5)
+    assert ot.simulate_rounds(math.pi / 6, 3.0, seed=4).counts == \
+        ot.simulate_rounds(math.pi / 6, 3, seed=4).counts
     with pytest.raises(ValueError):
         ot.simulate_rounds(math.pi / 6, 10, strategy="nope")
