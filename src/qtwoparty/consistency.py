@@ -93,6 +93,25 @@ def drop(*families: str) -> ConstraintConfig:
     return relax([f for f in FAMILIES if f not in families] + unknown)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; refuses anything but an integer >= 1, naming ``name``."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value or as_int < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return as_int
+
+
+def _dims(dims) -> tuple[int, int, int]:
+    """(d_A, d_B, d_U) as ints; a fractional dim is refused, not truncated."""
+    dims = tuple(dims)
+    if len(dims) != 3:
+        raise ValueError(f"dims must be three positive integers, got {dims}")
+    return tuple(_positive_int(f"dims[{i}]", d) for i, d in enumerate(dims))
+
+
 @dataclass(frozen=True)
 class TripartiteCandidate:
     """Pure states on A (x) B (x) U plus the receiver's three-outcome POVM on B.
@@ -106,9 +125,7 @@ class TripartiteCandidate:
     povm: linalg.Povm
 
     def __post_init__(self):
-        da, db, du = (int(d) for d in self.dims)
-        if min(da, db, du) < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        da, db, du = _dims(self.dims)
         object.__setattr__(self, "dims", (da, db, du))
         total = da * db * du
         psi0 = linalg.check_pure(np.asarray(self.psi0), name="psi0")
@@ -259,7 +276,7 @@ def usd_witness(dims=(2, 2, 2), theta: float = math.pi / 6) -> TripartiteCandida
     alice_blind exactly; only bob_info is violated, by sin(2 theta) - 1/2.
     Requires d_B >= 2.
     """
-    da, db, du = (int(d) for d in dims)
+    da, db, du = _dims(dims)
     if db < 2:
         raise ValueError("usd_witness needs d_B >= 2")
     psi0, psi1 = ot.make_states(theta)
@@ -306,7 +323,7 @@ def steerable_witness(dims=(2, 3, 2)) -> TripartiteCandidate:
     lets the sender learn the outcome, so alice_blind fails (residual 1 per
     bit). Requires d_A >= 2 and d_B >= 3.
     """
-    da, db, du = (int(d) for d in dims)
+    da, db, du = _dims(dims)
     if da < 2 or db < 3:
         raise ValueError("steerable_witness needs d_A >= 2 and d_B >= 3")
     u0 = np.zeros(du)
@@ -613,15 +630,13 @@ def search(
     ``candidate_from_vector`` and ``residual``, with their checks, to give
     ``best_report``.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"dims must be three positive integers, got {dims}")
+    dims = _dims(dims)
     if int(np.prod(dims)) > linalg.DEFAULT_DIM_CAP:
         raise linalg.DimensionCapError(
             f"total dimension {int(np.prod(dims))} exceeds cap {linalg.DEFAULT_DIM_CAP}"
         )
-    if restarts < 1 or max_iters < 1:
-        raise ValueError("restarts and max_iters must be >= 1")
+    restarts = _positive_int("restarts", restarts)
+    max_iters = _positive_int("max_iters", max_iters)
 
     n = _n_params(dims)
     block = _block_size(dims)

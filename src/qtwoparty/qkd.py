@@ -20,11 +20,15 @@ A run is reproducible from its config and seed: ``simulate`` makes its
 random draws in one fixed order (see its docstring), and that order is the
 contract that trial CSVs and recorded statistics rest on. The statistics
 are one count over a small integer key per trial, so every cell count and
-+-1 sum is an exact integer.
++-1 sum is an exact integer. Only the integer draws are made at full
+length; the work after them streams in ``CHUNK_ROWS`` slices, and the
+registration uniforms are read from an advanced copy of the same PCG64
+stream, so the draws are those of one call per column.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -35,7 +39,9 @@ ATTACK_DEMON = "demon"
 
 NO_DETECTION = 0
 
-CSV_CHUNK_ROWS = 1 << 16
+# trials per slice of the streamed pass in ``simulate``, and rows per block of
+# ``TrialData.write_csv``
+CHUNK_ROWS = 1 << 16
 
 # fills the byte matrix around each value's characters; dropped on output
 _PAD = 0
@@ -62,12 +68,17 @@ class QkdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n_pairs = int(self.n_pairs)
-        if n_pairs != self.n_pairs:
-            raise ValueError(f"n_pairs must be an integer, got {self.n_pairs!r}")
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        object.__setattr__(self, "n_pairs", n_pairs)
+        for name, least in (("n_pairs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                as_int = int(value)
+            except (TypeError, ValueError, OverflowError):
+                as_int = None
+            if as_int is None or as_int != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if as_int < least:
+                raise ValueError(f"{name} must be >= {least}, got {as_int}")
+            object.__setattr__(self, name, as_int)
         object.__setattr__(self, "alice_settings", tuple(float(a) for a in self.alice_settings))
         object.__setattr__(self, "bob_settings", tuple(float(a) for a in self.bob_settings))
         if not self.alice_settings or not self.bob_settings:
@@ -133,7 +144,7 @@ class TrialData:
         The bytes are those of ``csv.writer`` in its default dialect: rows end
         in CRLF, every value is a plain decimal integer (``coincident`` as 0 or
         1), and honest runs leave ``e_set`` and ``e_out`` empty. Rows are
-        formatted ``CSV_CHUNK_ROWS`` at a time as one byte matrix, so memory
+        formatted ``CHUNK_ROWS`` at a time as one byte matrix, so memory
         stays bounded in the number of trials.
         """
         columns = (
@@ -148,8 +159,8 @@ class TrialData:
         n = self.alice_setting.size
         with open(path, "wb") as fh:
             fh.write(b"trial,a_set,b_set,a_out,b_out,e_set,e_out,coincident\r\n")
-            for lo in range(0, n, CSV_CHUNK_ROWS):
-                hi = min(lo + CSV_CHUNK_ROWS, n)
+            for lo in range(0, n, CHUNK_ROWS):
+                hi = min(lo + CHUNK_ROWS, n)
                 fields = [_DecimalField(np.arange(lo, hi))]
                 fields += [None if c is None else _DecimalField(c[lo:hi]) for c in columns]
                 # one byte per separator and two for the row end
@@ -229,6 +240,16 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     key: the setting cell, whether the receiver registered, agreement, the
     sender's +1 and, on the attack path, whether the receiver's outcome is
     the interceptor's.
+
+    The draw order above is unchanged by how the work is laid out. The
+    integer draws are made at full length as uint32, which takes the same
+    bounded 32-bit draw per value as numpy's default int64. Everything after
+    them streams in ``CHUNK_ROWS`` slices, adding each slice's count to one
+    tally. The agreement uniforms are drawn slice by slice from the call's
+    generator; the registration uniforms from a copy of its PCG64 stream
+    advanced past the n agreement words. Each uniform takes one 64-bit word,
+    so both match single full-length calls. Kept trials are int64 columns
+    and a bool ``coincident``, as the default draws would give.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_pairs
@@ -237,39 +258,53 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     na, nb = a_angles.size, b_angles.size
     demon = config.attack == ATTACK_DEMON
 
-    a_set = rng.integers(0, na, size=n)
-    b_set = rng.integers(0, nb, size=n)
-    a_out = 2 * rng.integers(0, 2, size=n) - 1
+    # uint32 takes the same bounded 32-bit draw per value as the default int64
+    a_set = rng.integers(0, na, size=n, dtype=np.uint32)
+    b_set = rng.integers(0, nb, size=n, dtype=np.uint32)
+    a_plus = rng.integers(0, 2, size=n, dtype=np.uint32)  # the sender's outcome is 2 * a_plus - 1
     # the partner measures the sender's twin photon: the receiver, or the interceptor
-    partner_set = rng.integers(0, nb, size=n) if demon else b_set
-    # one small integer per trial: the setting cell, then one bit per flag below
-    # (at most four). On the attack path the cell is the interceptor's, which
-    # is the receiver's wherever he registers.
-    key = (a_set * nb + partner_set).astype(np.min_scalar_type(na * nb << 4))
+    partner_set = rng.integers(0, nb, size=n, dtype=np.uint32) if demon else b_set
+    # a uniform takes one 64-bit word, so the registration uniforms are the n
+    # words after the agreement uniforms: a copy of the stream jumped past them
+    register_rng = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n))
     # P(partner agrees with the sender) = (1 + E) / 2 per setting pair, E = V cos 2(a - b)
     p_agree = 0.5 * (1.0 + config.visibility * np.cos(2.0 * (a_angles[:, None] - b_angles)))
-    agree = rng.random(n) < p_agree.ravel()[key]
+    p_agree = p_agree.ravel()
     # the sender always registers, so a coincidence is the receiver's registration
-    if demon:
-        p_deliver = config.channel_transmission_eve * config.bob_detector_eff
-        coincident = (partner_set == b_set) & (rng.random(n) < p_deliver)
-    else:
-        coincident = rng.random(n) < config.channel_transmission_honest * config.bob_detector_eff
+    t = config.channel_transmission_eve if demon else config.channel_transmission_honest
+    p_register = t * config.bob_detector_eff
 
-    a_plus = a_out > 0
-    flags = [coincident, agree, a_plus]
-    b_out = e_out = None
-    if demon or keep_trials:
-        partner_out = 2 * (a_plus == agree) - 1  # the sender's outcome where they agree
-        b_out = partner_out * coincident  # NO_DETECTION, 0, where nothing registers
-    if demon:
-        e_out = partner_out
-        flags.append(b_out == e_out)
-    for flag in flags:
-        key <<= 1
-        key |= flag
+    n_flags = 4 if demon else 3
+    tally = np.zeros(na * nb << n_flags, dtype=np.int64)
+    key_dtype = np.min_scalar_type(tally.size)
+    # kept trials take the comparisons at full length; otherwise one chunk's buffer is reused
+    rows = n if keep_trials else min(n, CHUNK_ROWS)
+    agree = np.empty(rows, dtype=bool)
+    coincident = np.empty(rows, dtype=bool)
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        out = slice(lo, hi) if keep_trials else slice(0, hi - lo)
+        # one small integer per trial: the setting cell, then one bit per flag
+        # below. On the attack path the cell is the interceptor's, which is the
+        # receiver's wherever he registers.
+        key = a_set[lo:hi].astype(key_dtype)
+        key *= nb
+        key += partner_set[lo:hi]
+        agree_c = np.less(rng.random(hi - lo), p_agree.take(key), out=agree[out])
+        coincident_c = np.less(register_rng.random(hi - lo), p_register, out=coincident[out])
+        if demon:
+            coincident_c &= partner_set[lo:hi] == b_set[lo:hi]
+        flags = [coincident_c, agree_c, a_plus[lo:hi]]
+        if demon:
+            # b_out == e_out: the receiver reads the interceptor's outcome exactly
+            # where he registers, and NO_DETECTION elsewhere
+            flags.append(coincident_c)
+        for flag in flags:
+            key <<= 1
+            key |= flag
+        tally += np.bincount(key, minlength=tally.size)
     # coincident trials by (a_set, b_set, agree, a_out > 0, [b_out == e_out])
-    tally = np.bincount(key, minlength=na * nb << len(flags)).reshape(na, nb, 2, 2, 2, -1)[:, :, 1]
+    tally = tally.reshape(na, nb, 2, 2, 2, -1)[:, :, 1]
     cell_counts = tally.sum(axis=(2, 3, 4))
     # a_out * b_out is +1 where they agree and -1 elsewhere: exact integer sums
     cell_sums = (tally[:, :, 1] - tally[:, :, 0]).sum(axis=(2, 3)).astype(float)
@@ -315,13 +350,15 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     trials = None
     if keep_trials:
+        # the public columns are int64, the dtype of the default integer draws
+        partner_out = 2 * (a_plus == agree) - 1  # the sender's outcome where they agree
         trials = TrialData(
-            alice_setting=a_set,
-            bob_setting=b_set,
-            alice_outcome=a_out,
-            bob_outcome=b_out,
-            eve_setting=partner_set if demon else None,
-            eve_outcome=e_out,
+            alice_setting=a_set.astype(np.int64),
+            bob_setting=b_set.astype(np.int64),
+            alice_outcome=2 * a_plus.astype(np.int64) - 1,
+            bob_outcome=partner_out * coincident,  # NO_DETECTION, 0, where nothing registers
+            eve_setting=partner_set.astype(np.int64) if demon else None,
+            eve_outcome=partner_out if demon else None,
             coincident=coincident,
         )
     return stats, trials

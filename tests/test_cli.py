@@ -376,6 +376,14 @@ def test_ot_analyze_malformed_grid_usage_error(tmp_path, capsys, grid):
     assert not (tmp_path / "g.csv.manifest.json").exists()
 
 
+def test_qkd_demon_negative_seed_usage_error(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert run(["qkd-demon", "--seed", "-1", "--n-pairs", "10", "--output", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sub", ["ot-feasibility", "qkd-demon"])
 def test_format_only_on_table_subcommands(tmp_path, sub):
     with pytest.raises(SystemExit) as err:

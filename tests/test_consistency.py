@@ -583,6 +583,38 @@ def test_search_argument_validation():
         cons.search((64, 64, 2), restarts=1, max_iters=1)
 
 
+def test_fractional_dims_and_counts_are_refused():
+    # each used to be truncated, or to fail inside numpy with TypeError
+    usd = cons.usd_witness()
+    calls = {
+        r"dims\[1\] must be a positive integer, got 2\.5": [
+            lambda: cons.search((2, 2.5, 2), restarts=1, max_iters=1),
+            lambda: cons.usd_witness(dims=(2, 2.5, 2)),
+            lambda: cons.steerable_witness(dims=(2, 2.5, 2)),
+        ],
+        r"dims\[0\] must be a positive integer, got 2\.5": [
+            lambda: cons.TripartiteCandidate((2.5, 2, 2), usd.psi0, usd.psi1, usd.povm),
+        ],
+        r"dims\[2\] must be a positive integer, got '2'": [
+            lambda: cons.usd_witness(dims=(2, 2, "2")),
+        ],
+        r"restarts must be a positive integer, got 2\.5": [
+            lambda: cons.search((2, 2, 2), restarts=2.5, max_iters=1),
+        ],
+        r"max_iters must be a positive integer, got 1\.5": [
+            lambda: cons.search((2, 2, 2), restarts=1, max_iters=1.5),
+        ],
+    }
+    for message, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValueError, match=message):
+                call()
+    # integral values of other types are stored as ints
+    rep = cons.search((2.0, np.int64(2), 2), restarts=1.0, max_iters=np.int32(1))
+    assert [type(v) for v in (*rep.dims, rep.restarts, rep.max_iters)] == [int] * 5
+    assert cons.steerable_witness(dims=(2.0, 3, 2)).dims == (2, 3, 2)
+
+
 def test_report_json_shape():
     rep = cons.search((2, 2, 2), restarts=2, max_iters=4, seed=1,
                       config=cons.drop("alice_blind"))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -49,6 +51,22 @@ def test_config_validation():
                  "bob_detector_eff"):
         assert type(getattr(config, name)) is float, name
     qkd.simulate(config)
+
+
+def test_config_refuses_unusable_seed():
+    # each used to be accepted, and simulate then failed inside SeedSequence
+    for seed, message in ((1.5, "seed must be an integer, got 1.5"),
+                          (None, "seed must be an integer, got None"),
+                          ("3", "seed must be an integer, got '3'"),
+                          (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qkd.QkdConfig(n_pairs=10, seed=seed)
+    for seed in (3.0, np.int64(3), np.uint8(3)):
+        config = qkd.QkdConfig(n_pairs=10, seed=seed)
+        assert type(config.seed) is int and config.seed == 3
+        assert json.dumps(qkd.simulate(config)[0].to_json_dict()) == json.dumps(
+            qkd.simulate(replace(config, seed=3))[0].to_json_dict()
+        )
 
 
 def test_honest_chsh_reaches_quantum_value():
@@ -273,7 +291,7 @@ ELEVEN_SETTINGS = tuple(k * math.pi / 22 for k in range(11))
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
 @pytest.mark.parametrize(
     "n_pairs",
-    [1, 9, 10, 11, qkd.CSV_CHUNK_ROWS - 1, qkd.CSV_CHUNK_ROWS, qkd.CSV_CHUNK_ROWS + 1],
+    [1, 9, 10, 11, qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, qkd.CHUNK_ROWS + 1],
 )
 def test_write_csv_matches_csv_writer_bytes(tmp_path, attack, n_pairs):
     config = qkd.QkdConfig(n_pairs=n_pairs, attack=attack, seed=13, **CHSH_KW)
@@ -325,7 +343,7 @@ def test_write_csv_matches_oracle_on_arbitrary_columns(tmp_path, monkeypatch):
         if honest:
             cols[4] = cols[5] = None
         # small chunks, so chunks of different widths meet in one file
-        monkeypatch.setattr(qkd, "CSV_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(qkd, "CHUNK_ROWS", chunk)
         _assert_csv_matches_oracle(qkd.TrialData(*cols), tmp_path)
 
     check()
@@ -336,7 +354,7 @@ def test_write_csv_memory_bounded_in_rows(tmp_path):
     # more working memory than one
     def peak(chunks):
         config = qkd.QkdConfig(
-            n_pairs=chunks * qkd.CSV_CHUNK_ROWS, attack=qkd.ATTACK_DEMON, seed=15, **CHSH_KW
+            n_pairs=chunks * qkd.CHUNK_ROWS, attack=qkd.ATTACK_DEMON, seed=15, **CHSH_KW
         )
         _, trials = qkd.simulate(config, keep_trials=True)
         tracemalloc.start()
@@ -444,7 +462,7 @@ def _assert_matches_oracle(config):
 
 
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-@pytest.mark.parametrize("n_pairs", [1, 7, qkd.CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_pairs", [1, 7, qkd.CHUNK_ROWS + 1])
 @pytest.mark.parametrize("visibility", [0.0, 0.37, 1.0])
 def test_simulate_matches_per_trial_oracle(attack, n_pairs, visibility):
     for na in range(1, 5):
@@ -482,3 +500,82 @@ def test_simulate_peak_memory_within_oracle(attack, keep_trials):
 
     new, ref = peak(qkd.simulate), peak(qkd_oracle.simulate)
     assert new <= ref, (new, ref)
+
+
+# ---------------------------------------------------------------------------
+# the stream facts the chunked pass rests on, and its chunk seams
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("high", range(1, 12))
+def test_uint32_draws_equal_int64_draws(high):
+    # below 2**32 numpy takes one bounded 32-bit draw per value for both dtypes
+    for n in (1, 2, 7, 64, 1001):
+        wide, narrow = np.random.default_rng(high), np.random.default_rng(high)
+        got = narrow.integers(0, high, size=n, dtype=np.uint32)
+        want = wide.integers(0, high, size=n)
+        assert np.array_equal(got, want), (np.__version__, high, n)
+        assert narrow.bit_generator.state == wide.bit_generator.state, (np.__version__, high, n)
+
+
+@pytest.mark.parametrize("odd", [1, 3, 7])
+def test_advanced_copy_reads_the_tail_of_one_random_call(odd):
+    # after an odd number of 32-bit draws half a word is buffered; a uniform
+    # takes a whole 64-bit word, so the buffered half does not shift either stream
+    for n in (1, 2, 5, 1000):
+        rng, ref = np.random.default_rng(odd), np.random.default_rng(odd)
+        for r in (rng, ref):
+            r.integers(0, 3, size=odd, dtype=np.uint32)
+        full = ref.random(2 * n)
+        tail = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n)).random(n)
+        assert np.array_equal(tail, full[n:]), (np.__version__, odd, n)
+        head = np.concatenate([rng.random(k) for k in (n // 3, n - n // 3)])
+        assert np.array_equal(head, full[:n]), (np.__version__, odd, n)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_simulate_matches_oracle_across_chunk_seams(monkeypatch, chunk):
+    monkeypatch.setattr(qkd, "CHUNK_ROWS", chunk)
+    for n_pairs in range(1, 31):
+        for attack in (qkd.ATTACK_NONE, qkd.ATTACK_DEMON):
+            for na in range(1, 5):
+                for nb in range(1, 5):
+                    _assert_matches_oracle(qkd.QkdConfig(
+                        n_pairs=n_pairs, alice_settings=ALICE_FOUR[:na],
+                        bob_settings=BOB_FOUR[:nb], visibility=0.37, attack=attack,
+                        seed=n_pairs,
+                    ))
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+@pytest.mark.parametrize("n_pairs", [qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, 2 * qkd.CHUNK_ROWS + 1])
+def test_simulate_matches_oracle_at_default_chunk_seams(attack, n_pairs):
+    for na, nb in ((2, 2), (3, 4)):
+        _assert_matches_oracle(qkd.QkdConfig(
+            n_pairs=n_pairs, alice_settings=ALICE_FOUR[:na], bob_settings=BOB_FOUR[:nb],
+            attack=attack, seed=19,
+        ))
+
+
+# A stats-only run keeps its uint32 draw columns at full length (three, and
+# the interceptor's on the attack path) and one chunk of working arrays. One
+# chunk was measured at 27 bytes per row (float64 uniforms and thresholds,
+# bool flags, the key) on both paths; the allowance of 40 leaves a 48 % margin
+# and stays below the 8 bytes per pair that a full-length float64 column adds.
+CHUNK_BYTES_PER_ROW = 40
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+def test_stats_only_memory_per_pair(attack):
+    n = 1_000_000
+    config = qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW)
+    draw_columns = 4 if attack == qkd.ATTACK_DEMON else 3
+    qkd.simulate(replace(config, n_pairs=1))  # numpy imports numpy.random on first use
+    tracemalloc.start()
+    try:
+        qkd.simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 4 * draw_columns * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
+    assert peak <= bound, (peak / n, bound / n)
