@@ -11,9 +11,9 @@ Four capabilities, one per module:
 * :mod:`qtwoparty.qkd` — Monte-Carlo entanglement-based key distribution
   under coincidence post-selection and the setting-matched demon attack.
 
-:mod:`qtwoparty.linalg` supplies the shared spectral and POVM helpers and
-the trace distance, and :mod:`qtwoparty.cli` the manifest-backed
-command-line interface.
+:mod:`qtwoparty.linalg` supplies the shared integer check, spectral and
+POVM helpers and the trace distance, and :mod:`qtwoparty.cli` the
+manifest-backed command-line interface.
 """
 
 __version__ = "0.1.0"

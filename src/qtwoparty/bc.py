@@ -52,11 +52,8 @@ class BcParams:
     theta: float
 
     def __post_init__(self):
-        m, n = int(self.m), int(self.n)
-        if (m, n) != (self.m, self.n) or m < 1 or n < 1:
-            raise ValueError(f"m and n must be positive integers, got ({self.m}, {self.n})")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", linalg.check_integer("m", self.m, 1))
+        object.__setattr__(self, "n", linalg.check_integer("n", self.n, 1))
         # delegates the (0, pi/4] range check
         object.__setattr__(self, "theta", ot.OtParams(self.theta).theta)
 
@@ -321,6 +318,7 @@ def sweep(theta: float, m_values, n_values, *, exact_cap: int = EXACT_CAP) -> li
 
     Rows above the exact cap are interval rows.
     """
+    exact_cap = linalg.check_integer("exact_cap", exact_cap, 0)
     security = ot.partial_security(theta)
     return [
         cheat_report(BcParams(m, n, theta), exact_cap=exact_cap, security=security)

@@ -30,7 +30,7 @@ import json
 import math
 import sys
 
-from . import __version__, bc, consistency, ot, qkd
+from . import __version__, bc, consistency, linalg, ot, qkd
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -100,13 +100,15 @@ def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) 
 
 # ---------------------------------------------------------------------------
 # runners: pure functions of their resolved parameter dicts, so a manifest
-# replay goes through exactly the same code path as the original call. A
-# ValueError, the library's refusal of a value, is a usage error (``main``).
+# replay goes through exactly the same code path as the original call. They
+# pass each value through unchanged and the library checks it; a count that a
+# runner uses itself goes through the library's ``linalg.check_integer`` first.
+# A ValueError, the library's refusal of a value, is a usage error (``main``).
 # ---------------------------------------------------------------------------
 
 
 def run_ot_analyze(params: dict) -> int:
-    grid = [ot.OtParams(float(t)) for t in params["thetas"]]
+    grid = [ot.OtParams(t) for t in params["thetas"]]
     if not grid:
         raise UsageError("the theta grid is empty; pass --theta and/or --grid")
     rows = []
@@ -135,13 +137,13 @@ BC_HEADER = [
 
 
 def run_bc_analyze(params: dict) -> int:
-    theta = float(params["theta"])
+    theta = params["theta"]
     ot.OtParams(theta)  # refuses an angle outside (0, pi/4] before the ranges
     m_lo, m_hi = params["m_range"]
     n_lo, n_hi = params["n_range"]
     if m_lo < 1 or n_lo < 1 or m_hi < m_lo or n_hi < n_lo:
         raise UsageError("ranges must satisfy 1 <= lo <= hi")
-    exact_cap = int(params["exact_cap"])
+    exact_cap = linalg.check_integer("exact_cap", params["exact_cap"], 0)
     if not params["interval"] and m_hi * n_hi > exact_cap:
         raise UsageError(
             f"M*N up to {m_hi * n_hi} exceeds the exact-computation cap {exact_cap}; "
@@ -174,11 +176,11 @@ def run_bc_analyze(params: dict) -> int:
 
 def run_ot_feasibility(params: dict) -> int:
     report = consistency.search(
-        tuple(int(d) for d in params["dims"]),
-        restarts=int(params["restarts"]),
-        max_iters=int(params["max_iters"]),
-        seed=int(params["seed"]),
-        config=consistency.drop(*(params.get("drop") or ())),
+        params["dims"],
+        restarts=params["restarts"],
+        max_iters=params["max_iters"],
+        seed=params["seed"],
+        config=consistency.drop(*params["drop"]),
     )
     _write_json(params["output"], report.to_json_dict())
     return EXIT_OK
@@ -186,15 +188,15 @@ def run_ot_feasibility(params: dict) -> int:
 
 def run_qkd_demon(params: dict) -> int:
     config = qkd.QkdConfig(
-        n_pairs=int(params["n_pairs"]),
-        alice_settings=tuple(params["alice_angles"]),
-        bob_settings=tuple(params["bob_angles"]),
-        visibility=float(params["visibility"]),
-        channel_transmission_honest=float(params["t_honest"]),
-        channel_transmission_eve=float(params["t_eve"]),
-        bob_detector_eff=float(params["bob_eff"]),
+        n_pairs=params["n_pairs"],
+        alice_settings=params["alice_angles"],
+        bob_settings=params["bob_angles"],
+        visibility=params["visibility"],
+        channel_transmission_honest=params["t_honest"],
+        channel_transmission_eve=params["t_eve"],
+        bob_detector_eff=params["bob_eff"],
         attack=params["attack"],
-        seed=int(params["seed"]),
+        seed=params["seed"],
     )
     trials_csv = params.get("trials_csv")
     stats, trials = qkd.simulate(config, keep_trials=bool(trials_csv))

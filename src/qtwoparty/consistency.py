@@ -93,23 +93,13 @@ def drop(*families: str) -> ConstraintConfig:
     return relax([f for f in FAMILIES if f not in families] + unknown)
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int; refuses anything but an integer >= 1, naming ``name``."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value or as_int < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return as_int
-
-
 def _dims(dims) -> tuple[int, int, int]:
     """(d_A, d_B, d_U) as ints; a fractional dim is refused, not truncated."""
-    dims = tuple(dims)
-    if len(dims) != 3:
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    return tuple(_positive_int(f"dims[{i}]", d) for i, d in enumerate(dims))
+    try:
+        da, db, du = dims
+    except (TypeError, ValueError):
+        raise ValueError(f"dims must be three positive integers, got {dims!r}") from None
+    return tuple(linalg.check_integer(f"dims[{i}]", d, 1) for i, d in enumerate((da, db, du)))
 
 
 @dataclass(frozen=True)
@@ -635,8 +625,9 @@ def search(
         raise linalg.DimensionCapError(
             f"total dimension {int(np.prod(dims))} exceeds cap {linalg.DEFAULT_DIM_CAP}"
         )
-    restarts = _positive_int("restarts", restarts)
-    max_iters = _positive_int("max_iters", max_iters)
+    restarts = linalg.check_integer("restarts", restarts, 1)
+    max_iters = linalg.check_integer("max_iters", max_iters, 1)
+    seed = linalg.check_integer("seed", seed, 0)
 
     n = _n_params(dims)
     block = _block_size(dims)

@@ -1,8 +1,9 @@
 """Dense linear algebra on small Hilbert spaces.
 
-The protocol modules share the primitives here: Hermitian spectral
-decomposition, the pure-state check, the measurement carrier ``Povm`` and
-the trace distance
+The protocol modules share the primitives here: the integer check
+``check_integer`` that every count and seed goes through, Hermitian
+spectral decomposition, the pure-state check, the measurement carrier
+``Povm`` and the trace distance
 
     D(x, y) = (1/2) Tr|x - y|
 
@@ -64,6 +65,23 @@ def check_pure(psi: np.ndarray, *, name: str = "psi") -> np.ndarray:
     if abs(nrm - 1.0) > PURE_NORM_ATOL:
         raise ValueError(f"{name} norm {nrm} is not 1 within {PURE_NORM_ATOL}")
     return psi
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; a ValueError naming ``name`` otherwise.
+
+    A bool and a fractional or non-numeric value are refused; an integral
+    value of another type (3.0, np.int64(3)) is returned as an int.
+    """
+    try:
+        as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if as_int < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return as_int
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

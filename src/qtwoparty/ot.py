@@ -244,12 +244,8 @@ def simulate_rounds(
     per seed; one private generator per call.
     """
     params = _coerce(params)
-    if int(n_rounds) != n_rounds:
-        raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
-    n_rounds = int(n_rounds)
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    rng = np.random.default_rng(seed)
+    n_rounds = linalg.check_integer("n_rounds", n_rounds, 1)
+    rng = np.random.default_rng(linalg.check_integer("seed", seed, 0))
     bits_arr = rng.integers(0, 2, size=n_rounds)
 
     dists = _strategy_distributions(params, strategy)

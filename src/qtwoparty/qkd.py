@@ -34,6 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import linalg
+
 ATTACK_NONE = "none"
 ATTACK_DEMON = "demon"
 
@@ -68,17 +70,8 @@ class QkdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_pairs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                as_int = int(value)
-            except (TypeError, ValueError, OverflowError):
-                as_int = None
-            if as_int is None or as_int != value:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if as_int < least:
-                raise ValueError(f"{name} must be >= {least}, got {as_int}")
-            object.__setattr__(self, name, as_int)
+        object.__setattr__(self, "n_pairs", linalg.check_integer("n_pairs", self.n_pairs, 1))
+        object.__setattr__(self, "seed", linalg.check_integer("seed", self.seed, 0))
         object.__setattr__(self, "alice_settings", tuple(float(a) for a in self.alice_settings))
         object.__setattr__(self, "bob_settings", tuple(float(a) for a in self.bob_settings))
         if not self.alice_settings or not self.bob_settings:

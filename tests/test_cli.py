@@ -331,6 +331,17 @@ def test_replay_invalid_json_manifest_usage_error(tmp_path, capsys):
 
 FEASIBILITY_PARAMETERS = {"dims": [1, 1, 1], "restarts": 1, "max_iters": 1, "seed": 0,
                           "drop": []}
+QKD_PARAMETERS = {"n_pairs": 1000, "alice_angles": [0.0, math.pi / 4],
+                  "bob_angles": [math.pi / 8, 3 * math.pi / 8], "visibility": 1.0,
+                  "t_honest": 0.4, "t_eve": 0.8, "bob_eff": 0.8, "attack": "none",
+                  "seed": 0, "trials_csv": None}
+BC_PARAMETERS = {"theta": math.pi / 6, "m_range": [1, 2], "n_range": [1, 2],
+                 "exact_cap": 12, "interval": False, "format": "csv"}
+
+
+def _edited(subcommand, base, **changes):
+    """A manifest of ``subcommand`` whose parameters are ``base`` with ``changes``."""
+    return {"subcommand": subcommand, "seed": 0, "parameters": {**base, **changes}}
 
 
 @pytest.mark.parametrize(
@@ -345,8 +356,32 @@ FEASIBILITY_PARAMETERS = {"dims": [1, 1, 1], "restarts": 1, "max_iters": 1, "see
         ({"subcommand": "ot-feasibility", "seed": 0,
           "parameters": {**FEASIBILITY_PARAMETERS, "format": "csv"}},
          "unexpected ['format']"),
+        # a hand-edited count or seed is refused, not truncated
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, restarts=2.5),
+         "restarts must be an integer, got 2.5"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, restarts=None),
+         "restarts must be an integer, got None"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, restarts=True),
+         "restarts must be an integer, got True"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, dims=[1.9, 1, 1]),
+         "dims[0] must be an integer, got 1.9"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, dims=5),
+         "dims must be three positive integers, got 5"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, seed=None),
+         "seed must be an integer, got None"),
+        (_edited("qkd-demon", QKD_PARAMETERS, n_pairs=1000.7),
+         "n_pairs must be an integer, got 1000.7"),
+        (_edited("qkd-demon", QKD_PARAMETERS, seed=2.9),
+         "seed must be an integer, got 2.9"),
+        (_edited("bc-analyze", BC_PARAMETERS, exact_cap=12.9),
+         "exact_cap must be an integer, got 12.9"),
     ],
-    ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key"],
+    ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key",
+         "restarts-fractional", "restarts-null", "restarts-bool", "dims-fractional",
+         "dims-scalar", "seed-fractional", "seed-null", "n_pairs-fractional",
+         "qkd-seed-fractional", "exact_cap-fractional"],
 )
 def test_replay_refuses_malformed_manifest(tmp_path, capsys, manifest, message):
     out = tmp_path / "out.json"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qtwoparty import consistency as cons
-from qtwoparty import linalg, ot
+from qtwoparty import bc, linalg, ot
 
 import dense_oracle as oracle
 
@@ -587,22 +587,40 @@ def test_fractional_dims_and_counts_are_refused():
     # each used to be truncated, or to fail inside numpy with TypeError
     usd = cons.usd_witness()
     calls = {
-        r"dims\[1\] must be a positive integer, got 2\.5": [
+        r"dims\[1\] must be an integer, got 2\.5": [
             lambda: cons.search((2, 2.5, 2), restarts=1, max_iters=1),
             lambda: cons.usd_witness(dims=(2, 2.5, 2)),
             lambda: cons.steerable_witness(dims=(2, 2.5, 2)),
         ],
-        r"dims\[0\] must be a positive integer, got 2\.5": [
+        r"dims\[0\] must be an integer, got 2\.5": [
             lambda: cons.TripartiteCandidate((2.5, 2, 2), usd.psi0, usd.psi1, usd.povm),
         ],
-        r"dims\[2\] must be a positive integer, got '2'": [
+        r"dims\[2\] must be an integer, got '2'": [
             lambda: cons.usd_witness(dims=(2, 2, "2")),
         ],
-        r"restarts must be a positive integer, got 2\.5": [
+        r"restarts must be an integer, got 2\.5": [
             lambda: cons.search((2, 2, 2), restarts=2.5, max_iters=1),
         ],
-        r"max_iters must be a positive integer, got 1\.5": [
+        r"restarts must be an integer, got True": [
+            lambda: cons.search((2, 2, 2), restarts=True, max_iters=1),
+        ],
+        r"max_iters must be an integer, got 1\.5": [
             lambda: cons.search((2, 2, 2), restarts=1, max_iters=1.5),
+        ],
+        r"seed must be an integer, got None": [
+            lambda: cons.search((2, 2, 2), restarts=1, max_iters=1, seed=None),
+        ],
+        r"seed must be an integer, got 1\.5": [
+            lambda: cons.search((2, 2, 2), restarts=1, max_iters=1, seed=1.5),
+        ],
+        r"seed must be >= 0, got -1": [
+            lambda: cons.search((2, 2, 2), restarts=1, max_iters=1, seed=-1),
+        ],
+        r"dims must be three positive integers, got 5": [
+            lambda: cons.search(5, restarts=1, max_iters=1),
+        ],
+        r"exact_cap must be an integer, got 12\.5": [
+            lambda: bc.sweep(math.pi / 6, [1], [1], exact_cap=12.5),
         ],
     }
     for message, refused in calls.items():
@@ -610,8 +628,9 @@ def test_fractional_dims_and_counts_are_refused():
             with pytest.raises(ValueError, match=message):
                 call()
     # integral values of other types are stored as ints
-    rep = cons.search((2.0, np.int64(2), 2), restarts=1.0, max_iters=np.int32(1))
-    assert [type(v) for v in (*rep.dims, rep.restarts, rep.max_iters)] == [int] * 5
+    rep = cons.search((2.0, np.int64(2), 2), restarts=1.0, max_iters=np.int32(1),
+                      seed=np.uint8(0))
+    assert [type(v) for v in (*rep.dims, rep.restarts, rep.max_iters, rep.seed)] == [int] * 6
     assert cons.steerable_witness(dims=(2.0, 3, 2)).dims == (2, 3, 2)
 
 

@@ -142,6 +142,22 @@ def test_partial_trace_errors():
 
 
 # ---------------------------------------------------------------------------
+# integer check
+# ---------------------------------------------------------------------------
+
+
+def test_check_integer_accepts_integral_values_only():
+    for value in (3, 3.0, np.int64(3), np.uint8(3)):
+        got = linalg.check_integer("k", value, 0)
+        assert type(got) is int and got == 3
+    for value in (2.5, None, "3", True, np.bool_(False), float("nan"), float("inf"), [3]):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+            linalg.check_integer("k", value, 0)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        linalg.check_integer("k", 0, 1)
+
+
+# ---------------------------------------------------------------------------
 # eigendecomposition
 # ---------------------------------------------------------------------------
 

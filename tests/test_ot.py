@@ -235,6 +235,10 @@ def test_simulate_argument_errors():
         ot.simulate_rounds(math.pi / 6, 0)
     with pytest.raises(ValueError, match="n_rounds must be an integer, got 2.5"):
         ot.simulate_rounds(math.pi / 6, 2.5)
+    with pytest.raises(ValueError, match="n_rounds must be an integer, got True"):
+        ot.simulate_rounds(math.pi / 6, True)
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        ot.simulate_rounds(math.pi / 6, 10, seed=None)
     assert ot.simulate_rounds(math.pi / 6, 3.0, seed=4).counts == \
         ot.simulate_rounds(math.pi / 6, 3, seed=4).counts
     with pytest.raises(ValueError):

@@ -36,8 +36,8 @@ def test_config_validation():
         qkd.QkdConfig(n_pairs=10, channel_transmission_honest=0.0)
     with pytest.raises(ValueError):
         qkd.QkdConfig(n_pairs=10, attack="evil")
-    # a fractional or textual pair count is refused, not truncated
-    for n_pairs in (2.7, "10"):
+    # a fractional, textual or boolean pair count is refused, not truncated
+    for n_pairs in (2.7, "10", True, np.bool_(True)):
         with pytest.raises(ValueError):
             qkd.QkdConfig(n_pairs=n_pairs)
     # numeric fields are stored as the floats they were validated as
@@ -58,6 +58,7 @@ def test_config_refuses_unusable_seed():
     for seed, message in ((1.5, "seed must be an integer, got 1.5"),
                           (None, "seed must be an integer, got None"),
                           ("3", "seed must be an integer, got '3'"),
+                          (True, "seed must be an integer, got True"),
                           (-1, "seed must be >= 0, got -1")):
         with pytest.raises(ValueError, match=re.escape(message)):
             qkd.QkdConfig(n_pairs=10, seed=seed)
