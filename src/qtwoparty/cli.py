@@ -227,6 +227,14 @@ def run_with_manifest(subcommand: str, params: dict, seed) -> int:
     return status
 
 
+# manifest key -> (accepted types, their name in a refusal)
+_UNCHECKED_VALUES = {
+    "output": (str, "a string"),
+    "trials_csv": ((str, type(None)), "a string or null"),
+    "drop": (list, "a list"),
+}
+
+
 def replay(manifest_path: str) -> int:
     """Re-run a recorded invocation; outputs are reproduced byte-identically.
 
@@ -247,6 +255,10 @@ def replay(manifest_path: str) -> int:
     if set(params) != expected:
         missing, extra = sorted(expected - set(params)), sorted(set(params) - expected)
         raise UsageError(f"{sub} manifest parameters: missing {missing}, unexpected {extra}")
+    # the values that no library call checks: output paths and dropped families
+    for key, (kind, name) in _UNCHECKED_VALUES.items():
+        if key in params and not isinstance(params[key], kind):
+            raise UsageError(f"{key} must be {name}, got {params[key]!r}")
     return run_with_manifest(sub, params, manifest.get("seed"))
 
 

@@ -20,10 +20,11 @@ A run is reproducible from its config and seed: ``simulate`` makes its
 random draws in one fixed order (see its docstring), and that order is the
 contract that trial CSVs and recorded statistics rest on. The statistics
 are one count over a small integer key per trial, so every cell count and
-+-1 sum is an exact integer. Only the integer draws are made at full
-length; the work after them streams in ``CHUNK_ROWS`` slices, and the
-registration uniforms are read from an advanced copy of the same PCG64
-stream, so the draws are those of one call per column.
++-1 sum is an exact integer. Every draw is made in ``CHUNK_ROWS`` slices,
+and the registration uniforms are read from an advanced copy of the same
+PCG64 stream, so the draws are those of one call per column. A trial's
+integer draws are kept as one packed code, one byte at the default
+settings, and everything else streams.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ CHUNK_ROWS = 1 << 16
 
 # fills the byte matrix around each value's characters; dropped on output
 _PAD = 0
-# a uint64 divisor keeps the digit arithmetic in uint64 under numpy 1.x promotion
-_TEN = np.uint64(10)
 
 
 class InsufficientDataError(ValueError):
@@ -99,19 +98,20 @@ class _DecimalField:
     def __init__(self, col: np.ndarray):
         col = np.asarray(col, dtype=np.int64)
         self.neg = col < 0
-        # |col| in uint64, where the wrap-around negation is exact for int64 min too
-        self.mag = col.astype(np.uint64)
-        np.negative(self.mag, out=self.mag, where=self.neg)
-        self.digits = len(str(int(self.mag.max())))
+        largest = max(int(col.max()), -int(col.min()))
+        # |col| in the narrowest unsigned dtype that holds it; np.abs leaves
+        # int64 min as itself, which the unsigned cast reads as 2**63
+        self.mag = np.abs(col).astype(np.min_scalar_type(largest))
+        self.digits = len(str(largest))
         self.width = self.digits + bool(self.neg.any())
 
     def put(self, block: np.ndarray) -> None:
         if self.width > self.digits:
-            block[:, 0] = np.where(self.neg, ord("-"), _PAD)
+            block[:, 0] = self.neg * np.uint8(ord("-"))  # _PAD, 0, elsewhere
         q = self.mag
         for j in range(self.digits):
-            nxt = q // _TEN
-            digit = (q - nxt * _TEN).astype(np.uint8)
+            nxt = q // 10
+            digit = (q - nxt * 10).astype(np.uint8)
             digit += ord("0")
             if j:
                 digit[q == 0] = _PAD  # no leading zeros
@@ -230,19 +230,28 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     the registration uniforms. A trial's partner outcome agrees with the
     sender's when its uniform falls below (1 + E) / 2, read from a table
     over the setting pairs. The statistics are one count over a per-trial
-    key: the setting cell, whether the receiver registered, agreement, the
-    sender's +1 and, on the attack path, whether the receiver's outcome is
-    the interceptor's.
+    key: the trial's integer draws, whether the receiver registered, and
+    agreement. On the attack path the receiver registers only the
+    interceptor's signal and reads her outcome, so every coincident outcome
+    is hers.
 
-    The draw order above is unchanged by how the work is laid out. The
-    integer draws are made at full length as uint32, which takes the same
-    bounded 32-bit draw per value as numpy's default int64. Everything after
-    them streams in ``CHUNK_ROWS`` slices, adding each slice's count to one
-    tally. The agreement uniforms are drawn slice by slice from the call's
-    generator; the registration uniforms from a copy of its PCG64 stream
-    advanced past the n agreement words. Each uniform takes one 64-bit word,
-    so both match single full-length calls. Kept trials are int64 columns
-    and a bool ``coincident``, as the default draws would give.
+    The draw order above is unchanged by how the work is laid out: every
+    draw is made in ``CHUNK_ROWS`` slices. The integer draws are uint32,
+    which takes the same bounded 32-bit draw per value as numpy's default
+    int64, and the unused half of a 64-bit word waits in the bit generator,
+    so a column's slices match one full-length call. Each slice is folded
+    into one code per trial, ((a_set * nb + b_set) * 2 + a_plus) and then
+    * nb + the interceptor's setting on the attack path, in the narrowest
+    unsigned dtype that also holds the key, code * 4 + coincident * 2 +
+    agree: one byte at 2 x 2 settings. That code is the only full-length
+    array of a stats-only run. The streamed pass reads the thresholds from
+    tables over the code and adds each slice's key count to one tally. The
+    agreement uniforms are drawn slice by slice from the call's generator;
+    the registration uniforms from a copy of its PCG64 stream advanced past
+    the n agreement words. Each uniform takes one 64-bit word, so both match
+    single full-length calls. Kept trials are int64 columns, decoded slice by
+    slice from tables over the key, and a bool ``coincident``, as the
+    default draws would give.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_pairs
@@ -251,56 +260,78 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     na, nb = a_angles.size, b_angles.size
     demon = config.attack == ATTACK_DEMON
 
-    # uint32 takes the same bounded 32-bit draw per value as the default int64
-    a_set = rng.integers(0, na, size=n, dtype=np.uint32)
-    b_set = rng.integers(0, nb, size=n, dtype=np.uint32)
-    a_plus = rng.integers(0, 2, size=n, dtype=np.uint32)  # the sender's outcome is 2 * a_plus - 1
-    # the partner measures the sender's twin photon: the receiver, or the interceptor
-    partner_set = rng.integers(0, nb, size=n, dtype=np.uint32) if demon else b_set
+    # one code per trial, its integer draws in mixed radix: a_set, b_set, a_plus
+    # (the sender's outcome is 2 * a_plus - 1) and, on the attack path, the
+    # interceptor's setting; the partner measures the sender's twin photon
+    highs = (na, nb, 2, nb) if demon else (na, nb, 2)
+    n_codes = math.prod(highs)
+    # the narrowest dtype that also holds the key, code * 4 + coincident * 2 + agree
+    code = np.zeros(n, dtype=np.min_scalar_type(4 * n_codes - 1))
+    for high in highs:
+        for lo in range(0, n, CHUNK_ROWS):
+            digits = code[lo:lo + CHUNK_ROWS]
+            digits *= high
+            # uint32 takes the same bounded 32-bit draw per value as the default int64
+            np.add(digits, rng.integers(0, high, size=digits.size, dtype=np.uint32),
+                   out=digits, dtype=code.dtype)
+    # each code's draws, for the tables the streamed pass reads
+    a_of, b_of, a_plus_of, *rest = np.unravel_index(np.arange(n_codes), highs)
+    partner_of = rest[0] if demon else b_of
     # a uniform takes one 64-bit word, so the registration uniforms are the n
     # words after the agreement uniforms: a copy of the stream jumped past them
     register_rng = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n))
     # P(partner agrees with the sender) = (1 + E) / 2 per setting pair, E = V cos 2(a - b)
     p_agree = 0.5 * (1.0 + config.visibility * np.cos(2.0 * (a_angles[:, None] - b_angles)))
-    p_agree = p_agree.ravel()
-    # the sender always registers, so a coincidence is the receiver's registration
+    agree_threshold = p_agree[a_of, partner_of]
+    # the sender always registers, so a coincidence is the receiver's registration;
+    # on the attack path only where the interceptor's setting is his, and a
+    # uniform is never below 0.0
     t = config.channel_transmission_eve if demon else config.channel_transmission_honest
-    p_register = t * config.bob_detector_eff
+    register_threshold = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
 
-    n_flags = 4 if demon else 3
-    tally = np.zeros(na * nb << n_flags, dtype=np.int64)
-    key_dtype = np.min_scalar_type(tally.size)
-    # kept trials take the comparisons at full length; otherwise one chunk's buffer is reused
-    rows = n if keep_trials else min(n, CHUNK_ROWS)
+    tally = np.zeros(4 * n_codes, dtype=np.int64)
+    rows = min(n, CHUNK_ROWS)
+    uniform, threshold = np.empty(rows), np.empty(rows)
     agree = np.empty(rows, dtype=bool)
-    coincident = np.empty(rows, dtype=bool)
+    key = np.empty(rows, dtype=code.dtype)
+    # kept trials take the registrations at full length, and every int64 column
+    # from a table over the key
+    coincident = np.empty(n if keep_trials else rows, dtype=bool)
+    if keep_trials:
+        code_of, coincident_of, agree_of = np.unravel_index(np.arange(tally.size), (n_codes, 2, 2))
+        a_out_of = 2 * a_plus_of[code_of] - 1
+        partner_out_of = np.where(agree_of, a_out_of, -a_out_of)
+        # the receiver reads the partner's outcome where he registers, NO_DETECTION elsewhere
+        decoders = [a_of[code_of], b_of[code_of], a_out_of, partner_out_of * coincident_of]
+        if demon:
+            decoders += [partner_of[code_of], partner_out_of]
+        # the public columns are int64, the dtype of the default integer draws
+        columns = [np.empty(n, dtype=np.int64) for _ in decoders]
+    # every code and key lies in its table, so mode="clip" only spares take
+    # its bounds check and a buffered copy of ``out``
     for lo in range(0, n, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, n)
-        out = slice(lo, hi) if keep_trials else slice(0, hi - lo)
-        # one small integer per trial: the setting cell, then one bit per flag
-        # below. On the attack path the cell is the interceptor's, which is the
-        # receiver's wherever he registers.
-        key = a_set[lo:hi].astype(key_dtype)
-        key *= nb
-        key += partner_set[lo:hi]
-        agree_c = np.less(rng.random(hi - lo), p_agree.take(key), out=agree[out])
-        coincident_c = np.less(register_rng.random(hi - lo), p_register, out=coincident[out])
-        if demon:
-            coincident_c &= partner_set[lo:hi] == b_set[lo:hi]
-        flags = [coincident_c, agree_c, a_plus[lo:hi]]
-        if demon:
-            # b_out == e_out: the receiver reads the interceptor's outcome exactly
-            # where he registers, and NO_DETECTION elsewhere
-            flags.append(coincident_c)
-        for flag in flags:
-            key <<= 1
-            key |= flag
-        tally += np.bincount(key, minlength=tally.size)
-    # coincident trials by (a_set, b_set, agree, a_out > 0, [b_out == e_out])
-    tally = tally.reshape(na, nb, 2, 2, 2, -1)[:, :, 1]
-    cell_counts = tally.sum(axis=(2, 3, 4))
+        c = code[lo:lo + CHUNK_ROWS]
+        m = c.size
+        agree_c = np.less(rng.random(out=uniform[:m]),
+                          agree_threshold.take(c, out=threshold[:m], mode="clip"), out=agree[:m])
+        coincident_c = np.less(register_rng.random(out=uniform[:m]),
+                               register_threshold.take(c, out=threshold[:m], mode="clip"),
+                               out=coincident[lo:lo + m] if keep_trials else coincident[:m])
+        # code * 4 + coincident * 2 + agree, doubled by adds: numpy shifts
+        # uint8 about ten times slower
+        key_c = np.add(c, c, out=key[:m])
+        key_c += coincident_c
+        key_c += key_c
+        key_c += agree_c
+        tally += np.bincount(key_c, minlength=tally.size)
+        if keep_trials:
+            for table, column in zip(decoders, columns):
+                table.take(key_c, out=column[lo:lo + m], mode="clip")
+    # coincident trials by (a_set, b_set, a_out > 0, agree), over the interceptor's setting
+    tally = tally.reshape(na, nb, 2, -1, 2, 2)[..., 1, :].sum(axis=3)
+    cell_counts = tally.sum(axis=(2, 3))
     # a_out * b_out is +1 where they agree and -1 elsewhere: exact integer sums
-    cell_sums = (tally[:, :, 1] - tally[:, :, 0]).sum(axis=(2, 3)).astype(float)
+    cell_sums = (tally[..., 1] - tally[..., 0]).sum(axis=2).astype(float)
     n_coin = int(cell_counts.sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         correlators = np.where(cell_counts > 0, cell_sums / np.maximum(cell_counts, 1), np.nan)
@@ -311,7 +342,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
         )
 
     if n_coin:
-        alice_plus = int(tally[:, :, :, 1].sum()) / n_coin
+        alice_plus = int(tally[:, :, 1].sum()) / n_coin
         # the receiver reads +1 where agreement and the sender's +1 coincide
         bob_plus = int(tally[:, :, 1, 1].sum() + tally[:, :, 0, 0].sum()) / n_coin
     else:
@@ -319,7 +350,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     eve_fraction = None
     if demon:
-        eve_fraction = int(tally[..., 1].sum()) / n_coin if n_coin else math.nan
+        # b_out == e_out on every coincident trial: the receiver registers only
+        # the interceptor's signal, and reads her outcome
+        eve_fraction = 1.0 if n_coin else math.nan
 
     stats = QkdRunStats(
         config=config,
@@ -343,17 +376,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     trials = None
     if keep_trials:
-        # the public columns are int64, the dtype of the default integer draws
-        partner_out = 2 * (a_plus == agree) - 1  # the sender's outcome where they agree
-        trials = TrialData(
-            alice_setting=a_set.astype(np.int64),
-            bob_setting=b_set.astype(np.int64),
-            alice_outcome=2 * a_plus.astype(np.int64) - 1,
-            bob_outcome=partner_out * coincident,  # NO_DETECTION, 0, where nothing registers
-            eve_setting=partner_set.astype(np.int64) if demon else None,
-            eve_outcome=partner_out if demon else None,
-            coincident=coincident,
-        )
+        if not demon:
+            columns += [None, None]
+        trials = TrialData(*columns, coincident=coincident)
     return stats, trials
 
 

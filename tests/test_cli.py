@@ -377,16 +377,29 @@ def _edited(subcommand, base, **changes):
          "seed must be an integer, got 2.9"),
         (_edited("bc-analyze", BC_PARAMETERS, exact_cap=12.9),
          "exact_cap must be an integer, got 12.9"),
+        # a path or family list of the wrong type is refused before anything
+        # opens it; an int path would be a file descriptor
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, output=987),
+         "output must be a string, got 987"),
+        (_edited("qkd-demon", QKD_PARAMETERS, trials_csv=987),
+         "trials_csv must be a string or null, got 987"),
+        (_edited("qkd-demon", QKD_PARAMETERS, trials_csv=["t.csv"]),
+         "trials_csv must be a string or null, got ['t.csv']"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, drop=None),
+         "drop must be a list, got None"),
+        (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, drop="alice_blind"),
+         "drop must be a list, got 'alice_blind'"),
     ],
     ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key",
          "restarts-fractional", "restarts-null", "restarts-bool", "dims-fractional",
          "dims-scalar", "seed-fractional", "seed-null", "n_pairs-fractional",
-         "qkd-seed-fractional", "exact_cap-fractional"],
+         "qkd-seed-fractional", "exact_cap-fractional", "output-int", "trials_csv-int",
+         "trials_csv-list", "drop-null", "drop-string"],
 )
 def test_replay_refuses_malformed_manifest(tmp_path, capsys, manifest, message):
     out = tmp_path / "out.json"
     if isinstance(manifest, dict) and isinstance(manifest["parameters"], dict):
-        manifest["parameters"]["output"] = str(out)
+        manifest["parameters"].setdefault("output", str(out))
     path = tmp_path / "bad.manifest.json"
     path.write_text(json.dumps(manifest))
     assert run(["replay", str(path)]) == cli.EXIT_USAGE

@@ -519,6 +519,27 @@ def test_uint32_draws_equal_int64_draws(high):
         assert narrow.bit_generator.state == wide.bit_generator.state, (np.__version__, high, n)
 
 
+@pytest.mark.parametrize("high", range(1, 12))
+def test_sliced_uint32_draws_equal_one_call(high):
+    # a uint32 value takes one bounded 32-bit draw, and the unused half of a
+    # 64-bit word waits in the bit generator, so slices continue one call's stream
+    for rows, sizes in ((1, (1, 2, 9)), (3, (1, 3, 4, 10)), (7, (6, 7, 8, 30)),
+                        (qkd.CHUNK_ROWS, (qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS + 1))):
+        for n in sizes:
+            for lead in (0, 1):  # one 32-bit draw first leaves half a word buffered
+                whole, sliced = np.random.default_rng(high), np.random.default_rng(high)
+                for r in (whole, sliced):
+                    r.integers(0, 3, size=lead, dtype=np.uint32)
+                want = whole.integers(0, high, size=n, dtype=np.uint32)
+                got = np.concatenate([
+                    sliced.integers(0, high, size=min(rows, n - lo), dtype=np.uint32)
+                    for lo in range(0, n, rows)
+                ])
+                case = (np.__version__, high, rows, n, lead)
+                assert np.array_equal(got, want), case
+                assert sliced.bit_generator.state == whole.bit_generator.state, case
+
+
 @pytest.mark.parametrize("odd", [1, 3, 7])
 def test_advanced_copy_reads_the_tail_of_one_random_call(odd):
     # after an odd number of 32-bit draws half a word is buffered; a uniform
@@ -558,25 +579,55 @@ def test_simulate_matches_oracle_at_default_chunk_seams(attack, n_pairs):
         ))
 
 
-# A stats-only run keeps its uint32 draw columns at full length (three, and
-# the interceptor's on the attack path) and one chunk of working arrays. One
-# chunk was measured at 27 bytes per row (float64 uniforms and thresholds,
-# bool flags, the key) on both paths; the allowance of 40 leaves a 48 % margin
+# settings enough that the demon's code needs uint32: 33 * 33 * 2 * 33 codes,
+# four keys each
+MANY_SETTINGS = tuple(k * math.pi / 66 for k in range(33))
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+def test_simulate_matches_oracle_at_wide_codes(attack):
+    assert np.min_scalar_type(4 * 33**3 * 2 - 1) == np.uint32
+    for n_pairs in (1, 7, 500):
+        _assert_matches_oracle(qkd.QkdConfig(
+            n_pairs=n_pairs, alice_settings=MANY_SETTINGS, bob_settings=MANY_SETTINGS,
+            visibility=0.37, attack=attack, seed=n_pairs,
+        ))
+
+
+# A run keeps one code per trial at full length, one byte at the 2 x 2
+# settings, and one chunk of working arrays. One chunk was measured at 27 bytes
+# per row (float64 uniforms and thresholds, bool flags, the key and its intp
+# copy in ``bincount``) on both paths; the allowance of 40 leaves a 48 % margin
 # and stays below the 8 bytes per pair that a full-length float64 column adds.
+# Kept trials add their int64 columns and the bool ``coincident``, and nothing
+# else at full length.
+CODE_BYTES_PER_PAIR = 1
 CHUNK_BYTES_PER_ROW = 40
+
+
+def _simulate_peak(config, keep_trials):
+    qkd.simulate(replace(config, n_pairs=1))  # numpy imports numpy.random on first use
+    tracemalloc.start()
+    try:
+        qkd.simulate(config, keep_trials=keep_trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
 def test_stats_only_memory_per_pair(attack):
     n = 1_000_000
-    config = qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW)
-    draw_columns = 4 if attack == qkd.ATTACK_DEMON else 3
-    qkd.simulate(replace(config, n_pairs=1))  # numpy imports numpy.random on first use
-    tracemalloc.start()
-    try:
-        qkd.simulate(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = 4 * draw_columns * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
+    peak = _simulate_peak(qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW), False)
+    bound = CODE_BYTES_PER_PAIR * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
+    assert peak <= bound, (peak / n, bound / n)
+
+
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+def test_kept_trials_memory_per_pair(attack):
+    # the int64 columns are decoded chunk by chunk, beside no other full-length draws
+    n = 1_000_000
+    peak = _simulate_peak(qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW), True)
+    int_columns = 6 if attack == qkd.ATTACK_DEMON else 4
+    bound = (CODE_BYTES_PER_PAIR + 8 * int_columns + 1) * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
     assert peak <= bound, (peak / n, bound / n)
