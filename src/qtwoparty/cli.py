@@ -11,15 +11,20 @@ replay          re-run any of the above from its manifest
 Only the two table subcommands, ``ot-analyze`` and ``bc-analyze``, take
 ``--format`` (csv by default). Every run writes a manifest next to its
 output recording the subcommand, the fully resolved parameter set, the
-seed, the artifact version and the output paths; ``replay`` reproduces the
-output files byte-identically. Angles are radians by default; append
-``deg`` for degrees (e.g. ``30deg``). Floats in CSV output carry 17
-significant digits.
+seed, the artifact version and the output paths. ``replay`` reads each
+recorded value back through the flag that records it: its ``type`` and
+``choices`` per argument, its ``nargs`` count, its ``append`` or
+``store_true`` shape, and its ``default`` when absent. It reruns only a
+manifest equal, as JSON per key (``1`` is not ``1.0``) and in its top-level
+seed, to what ``main`` would record, so outputs come back byte-identically.
+Angles are radians by default; append ``deg`` for degrees (e.g. ``30deg``).
+Floats in CSV output carry 17 significant digits.
 
 Exit status: 0 on success, 1 when ``bc-analyze``'s f + d >= 1 sentinel
 fires, and 2 for any refused input. A flag that argparse rejects prints
 its usage message; a value, grid, manifest or parameter set that the CLI
-or the library refuses prints one ``error:`` line, and no output is written.
+or the library refuses prints one ``error:`` line, such as ``<key> must be
+<what its flag accepts>, got <value>``, and no output is written.
 """
 
 from __future__ import annotations
@@ -100,10 +105,10 @@ def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) 
 
 # ---------------------------------------------------------------------------
 # runners: pure functions of their resolved parameter dicts, so a manifest
-# replay goes through exactly the same code path as the original call. They
-# pass each value through unchanged and the library checks it; a count that a
-# runner uses itself goes through the library's ``linalg.check_integer`` first.
-# A ValueError, the library's refusal of a value, is a usage error (``main``).
+# replay goes through exactly the same code path as the original call. A
+# runner gets only what the parser's actions store, from the command line or
+# read back from a manifest (``replay``); the library checks each value's
+# range, and its refusal, a ValueError, is a usage error (``main``).
 # ---------------------------------------------------------------------------
 
 
@@ -227,20 +232,45 @@ def run_with_manifest(subcommand: str, params: dict, seed) -> int:
     return status
 
 
-# manifest key -> (accepted types, their name in a refusal)
-_UNCHECKED_VALUES = {
-    "output": (str, "a string"),
-    "trials_csv": ((str, type(None)), "a string or null"),
-    "drop": (list, "a list"),
-}
+# how a refusal names one argument of each flag type
+_TYPE_NAMES = {None: "a string", int: "an integer", float: "a number", parse_angle: "an angle"}
 
 
-def replay(manifest_path: str) -> int:
-    """Re-run a recorded invocation; outputs are reproduced byte-identically.
+def _read_arg(action, key: str, value, alternative: str = ""):
+    """One recorded argument read back through ``action``'s ``type`` and ``choices``."""
+    try:
+        item = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+        if json.dumps(item) == json.dumps(value) and (not action.choices or item in action.choices):
+            return item
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        pass
+    what = f"one of {list(action.choices)}" if action.choices else _TYPE_NAMES[action.type]
+    raise UsageError(f"{key} must be {what}{alternative}, got {value!r}")
 
-    The manifest must be an object naming a subcommand, with parameters
-    under exactly the keys that ``main`` records for that subcommand.
-    """
+
+def _read_back(action, key: str, given: dict):
+    """What parsing stores through ``action`` for ``given[key]``; see the module docstring."""
+    value = given.get(key, action.default)
+    if key not in given or not action.required and json.dumps(value) == json.dumps(action.default):
+        return value  # the flag's absence; ``replay`` refuses a missing key
+    n = action.nargs
+    if n == 0:  # a flag without arguments stores its const
+        if json.dumps(value) == json.dumps(action.const):
+            return value
+        what = f"{json.dumps(action.const)} or {json.dumps(action.default)}"
+    elif n is None and not isinstance(action, argparse._AppendAction):
+        optional = action.default is None and not action.required
+        return _read_arg(action, key, value, " or null" if optional else "")
+    else:  # a list: an int nargs takes exactly that many, "+" at least one, append any number
+        fixed = isinstance(n, int)
+        if isinstance(value, list) and (len(value) == n if fixed else len(value) >= (n == "+")):
+            return [_read_arg(action, f"{key}[{i}]", v) for i, v in enumerate(value)]
+        what = f"a list of {n} values" if fixed else "a non-empty list" if n == "+" else "a list"
+    raise UsageError(f"{key} must be {what}, got {value!r}")
+
+
+def replay(parser: argparse.ArgumentParser, manifest_path: str) -> int:
+    """Re-run a recorded invocation through ``parser``; the module docstring states the contract."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -248,18 +278,23 @@ def replay(manifest_path: str) -> int:
     sub = manifest.get("subcommand")
     if not isinstance(sub, str) or sub not in RUNNERS:
         raise UsageError(f"manifest names unknown subcommand {sub!r}")
-    params = manifest.get("parameters")
+    params, seed = manifest.get("parameters"), manifest.get("seed")
     if not isinstance(params, dict):
         raise UsageError("the manifest's parameters are not a JSON object")
-    expected = _recorded_keys(sub)
-    if set(params) != expected:
-        missing, extra = sorted(expected - set(params)), sorted(set(params) - expected)
-        raise UsageError(f"{sub} manifest parameters: missing {missing}, unexpected {extra}")
-    # the values that no library call checks: output paths and dropped families
-    for key, (kind, name) in _UNCHECKED_VALUES.items():
-        if key in params and not isinstance(params[key], kind):
-            raise UsageError(f"{key} must be {name}, got {params[key]!r}")
-    return run_with_manifest(sub, params, manifest.get("seed"))
+    # undo _reshape: a table run records --seed only as the top-level seed (any other
+    # run's is checked against its parameters' below), and ot-analyze --theta as thetas
+    given = {"seed": seed, **params}
+    keys = {"theta": "thetas"} if sub == "ot-analyze" else {}
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {a.dest: _read_back(a, keys.get(a.dest, a.dest), given)
+              for a in subparsers.choices[sub]._actions if a.default is not argparse.SUPPRESS}
+    recorded_seed = _reshape(sub, parsed)
+    if parsed.keys() != params.keys():
+        raise UsageError(f"{sub} manifest parameters: missing {sorted(parsed.keys() - params)}, "
+                         f"unexpected {sorted(params.keys() - parsed)}")
+    if json.dumps(seed) != json.dumps(recorded_seed):
+        raise UsageError(f"seed must be the parameters' seed {recorded_seed!r}, got {seed!r}")
+    return run_with_manifest(sub, parsed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +387,17 @@ def _reshape(sub: str, params: dict):
     return seed
 
 
-def _recorded_keys(sub: str) -> set[str]:
-    """The parameter keys ``main`` records for ``sub``: its parser's dests, reshaped."""
-    parser = build_parser()
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # argparse sets no attribute for a SUPPRESS default, such as --help's
-    params = {
-        a.dest: a.default
-        for a in subparsers.choices[sub]._actions
-        if a.default is not argparse.SUPPRESS
-    }
-    _reshape(sub, params)
-    return set(params)
-
-
 def main(argv=None) -> int:
-    params = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    params = vars(parser.parse_args(argv))
     sub = params.pop("subcommand")
     try:
         if sub == "replay":
-            return replay(params["manifest"])
+            return replay(parser, params["manifest"])
+        del parser  # cyclic garbage; held through a run, it raises the run's peak memory
         seed = _reshape(sub, params)
         return run_with_manifest(sub, params, seed)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -270,8 +270,22 @@ def test_qkd_demon_degree_angles(tmp_path):
                    "--max-iters", "3", "--seed", "5", "--output", str(d / "out.json")],
         lambda d: ["qkd-demon", "--n-pairs", "20000", "--seed", "6", "--attack", "demon",
                    "--trials-csv", str(d / "trials.csv"), "--output", str(d / "out.json")],
+        # every flag away from its default
+        lambda d: ["ot-analyze", "--theta", "30deg", "--grid", "0.1", "0.5", "3",
+                   "--format", "json", "--output", str(d / "out.json")],
+        lambda d: ["bc-analyze", "--theta", "30deg", "--m-range", "1", "2", "--n-range", "1", "3",
+                   "--interval", "--exact-cap", "4", "--format", "json",
+                   "--output", str(d / "out.json")],
+        lambda d: ["ot-feasibility", "--dims", "1", "1", "1", "--restarts", "2",
+                   "--max-iters", "3", "--drop", "alice_blind", "--drop", "bob_info",
+                   "--output", str(d / "out.json")],
+        # recorded as -1e-05, which argparse would read as an option
+        lambda d: ["qkd-demon", "--n-pairs", "2000", "--alice-angles", "-0.00001", "30deg",
+                   "--visibility", "0.9", "--trials-csv", str(d / "trials.csv"),
+                   "--output", str(d / "out.json")],
     ],
-    ids=["ot-analyze", "bc-analyze", "ot-feasibility", "qkd-demon"],
+    ids=["ot-analyze", "bc-analyze", "ot-feasibility", "qkd-demon", "ot-analyze-flags",
+         "bc-analyze-flags", "ot-feasibility-drops", "qkd-demon-negative-angle"],
 )
 def test_replay_reproduces_outputs_byte_identically(tmp_path, argv_builder):
     argv = argv_builder(tmp_path)
@@ -317,7 +331,8 @@ def test_replay_refuses_unknown_drop_family(tmp_path, capsys):
     }))
     assert run(["replay", str(manifest)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown constraint families") and err.count("\n") == 1
+    assert err.startswith("error: drop[0] must be one of ['half_bit', ") and err.count("\n") == 1
+    assert err.endswith(", got 'alice_blnd'\n")
     assert not out.exists()
 
 
@@ -337,6 +352,9 @@ QKD_PARAMETERS = {"n_pairs": 1000, "alice_angles": [0.0, math.pi / 4],
                   "seed": 0, "trials_csv": None}
 BC_PARAMETERS = {"theta": math.pi / 6, "m_range": [1, 2], "n_range": [1, 2],
                  "exact_cap": 12, "interval": False, "format": "csv"}
+
+
+NO_MANIFEST = object()  # replay a path where no file is
 
 
 def _edited(subcommand, base, **changes):
@@ -366,7 +384,7 @@ def _edited(subcommand, base, **changes):
         (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, dims=[1.9, 1, 1]),
          "dims[0] must be an integer, got 1.9"),
         (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, dims=5),
-         "dims must be three positive integers, got 5"),
+         "dims must be a list of 3 values, got 5"),
         (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, seed=1.5),
          "seed must be an integer, got 1.5"),
         (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, seed=None),
@@ -389,23 +407,45 @@ def _edited(subcommand, base, **changes):
          "drop must be a list, got None"),
         (_edited("ot-feasibility", FEASIBILITY_PARAMETERS, drop="alice_blind"),
          "drop must be a list, got 'alice_blind'"),
+        # every other value is read back through its flag's type, nargs and choices
+        (_edited("bc-analyze", BC_PARAMETERS, theta=None), "theta must be an angle, got None"),
+        (_edited("qkd-demon", QKD_PARAMETERS, visibility=None),
+         "visibility must be a number, got None"),
+        (_edited("bc-analyze", BC_PARAMETERS, m_range=[1.5, 2]),
+         "m_range[0] must be an integer, got 1.5"),
+        (_edited("bc-analyze", BC_PARAMETERS, interval="no"),
+         "interval must be true or false, got 'no'"),
+        (_edited("bc-analyze", BC_PARAMETERS, format="xml"),
+         "format must be one of ['csv', 'json'], got 'xml'"),
+        (_edited("ot-analyze", {"thetas": [0.5], "format": "csv"}, thetas="0.5"),
+         "thetas must be a list, got '0.5'"),
+        # the top-level seed: a table run's through --seed, any other's is the parameters'
+        ({**_edited("bc-analyze", BC_PARAMETERS), "seed": "abc"},
+         "seed must be an integer, got 'abc'"),
+        ({**_edited("ot-feasibility", FEASIBILITY_PARAMETERS), "seed": 5},
+         "seed must be the parameters' seed 0, got 5"),
+        (NO_MANIFEST, "No such file or directory"),
     ],
     ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key",
          "restarts-fractional", "restarts-null", "restarts-bool", "dims-fractional",
          "dims-scalar", "seed-fractional", "seed-null", "n_pairs-fractional",
          "qkd-seed-fractional", "exact_cap-fractional", "output-int", "trials_csv-int",
-         "trials_csv-list", "drop-null", "drop-string"],
+         "trials_csv-list", "drop-null", "drop-string", "theta-null", "visibility-null",
+         "m_range-fractional", "interval-string", "format-unknown", "thetas-string",
+         "table-seed-string", "seed-differs", "missing-file"],
 )
 def test_replay_refuses_malformed_manifest(tmp_path, capsys, manifest, message):
     out = tmp_path / "out.json"
     if isinstance(manifest, dict) and isinstance(manifest["parameters"], dict):
         manifest["parameters"].setdefault("output", str(out))
     path = tmp_path / "bad.manifest.json"
-    path.write_text(json.dumps(manifest))
+    if manifest is not NO_MANIFEST:
+        path.write_text(json.dumps(manifest))
+    written = sorted(p.name for p in tmp_path.iterdir())
     assert run(["replay", str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 # ---------------------------------------------------------------------------
