@@ -30,9 +30,11 @@ or the library refuses prints one ``error:`` line, such as ``<key> must be
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 from . import __version__, bc, consistency, linalg, ot, qkd
@@ -227,7 +229,15 @@ def run_with_manifest(subcommand: str, params: dict, seed) -> int:
     outputs = [params["output"]]
     if params.get("trials_csv"):
         outputs.append(params["trials_csv"])
-    status = RUNNERS[subcommand](params)
+    # a run that fails takes back the outputs it created, so none is left half made
+    created = [path for path in outputs if not os.path.lexists(path)]
+    try:
+        status = RUNNERS[subcommand](params)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     write_manifest(subcommand, params, seed, outputs)
     return status
 

@@ -24,7 +24,10 @@ are one count over a small integer key per trial, so every cell count and
 and the registration uniforms are read from an advanced copy of the same
 PCG64 stream, so the draws are those of one call per column. A trial's
 integer draws are kept as one packed code, one byte at the default
-settings, and everything else streams.
+settings, which the streamed pass turns into the trial's key in place;
+everything else streams. A kept trial is that key: ``TrialData`` holds the
+key array and one table of each key's column values, and decodes or
+writes columns from the two.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ NO_DETECTION = 0
 # ``TrialData.write_csv``
 CHUNK_ROWS = 1 << 16
 
-# fills the byte matrix around each value's characters; dropped on output
+# fills the byte matrix around each value's characters; dropped on output by
+# bytes.translate, which deletes NUL bytes, so it must stay 0
 _PAD = 0
 
 
@@ -88,87 +92,75 @@ class QkdConfig:
             raise ValueError(f"attack must be {ATTACK_NONE!r} or {ATTACK_DEMON!r}")
 
 
-class _DecimalField:
-    """Decimal text of one chunk of an integer column, any int64 value.
+def _decoded(row: int):
+    """The property that decodes one column of the trial table, None where absent."""
 
-    ``put`` writes each value into a row of ``width`` bytes: the sign in the
-    first byte, the digits right-aligned, pad bytes between.
-    """
+    def column(self):
+        values = self.table[row]
+        return None if values is None else values.take(self.key)
 
-    def __init__(self, col: np.ndarray):
-        col = np.asarray(col, dtype=np.int64)
-        self.neg = col < 0
-        largest = max(int(col.max()), -int(col.min()))
-        # |col| in the narrowest unsigned dtype that holds it; np.abs leaves
-        # int64 min as itself, which the unsigned cast reads as 2**63
-        self.mag = np.abs(col).astype(np.min_scalar_type(largest))
-        self.digits = len(str(largest))
-        self.width = self.digits + bool(self.neg.any())
-
-    def put(self, block: np.ndarray) -> None:
-        if self.width > self.digits:
-            block[:, 0] = self.neg * np.uint8(ord("-"))  # _PAD, 0, elsewhere
-        q = self.mag
-        for j in range(self.digits):
-            nxt = q // 10
-            digit = (q - nxt * 10).astype(np.uint8)
-            digit += ord("0")
-            if j:
-                digit[q == 0] = _PAD  # no leading zeros
-            block[:, -1 - j] = digit
-            q = nxt
+    return property(column)
 
 
 @dataclass(frozen=True)
 class TrialData:
-    """Per-trial record arrays; outcomes are +-1 with 0 meaning no detection."""
+    """Kept trials: each trial's key, and each key's values in one small table.
 
-    alice_setting: np.ndarray
-    bob_setting: np.ndarray
-    alice_outcome: np.ndarray
-    bob_outcome: np.ndarray
-    eve_setting: np.ndarray | None
-    eve_outcome: np.ndarray | None
-    coincident: np.ndarray
+    ``key`` is the per-trial key of ``simulate``, code * 4 + coincident * 2 +
+    agree, in the code's narrowest unsigned dtype. ``table`` holds, per column
+    of the trial CSV after the trial index, that column's value for every key:
+    int64 arrays, with outcomes +-1 and 0 meaning no detection; a bool array
+    for ``coincident``; and None for the interceptor's two columns on honest
+    runs. The seven column names are read-only properties that decode the
+    full-length column with ``take`` on each read.
+    """
+
+    key: np.ndarray
+    table: tuple[np.ndarray | None, ...]
+
+    alice_setting = _decoded(0)
+    bob_setting = _decoded(1)
+    alice_outcome = _decoded(2)
+    bob_outcome = _decoded(3)
+    eve_setting = _decoded(4)
+    eve_outcome = _decoded(5)
+    coincident = _decoded(6)
 
     def write_csv(self, path) -> None:
         """Stream trials as CSV (trial, a_set, b_set, a_out, b_out, e_set, e_out, coincident).
 
         The bytes are those of ``csv.writer`` in its default dialect: rows end
         in CRLF, every value is a plain decimal integer (``coincident`` as 0 or
-        1), and honest runs leave ``e_set`` and ``e_out`` empty. Rows are
-        formatted ``CHUNK_ROWS`` at a time as one byte matrix, so memory
-        stays bounded in the number of trials.
+        1), and honest runs leave ``e_set`` and ``e_out`` empty. Each key's row
+        text after the trial index is formatted once, into a byte table padded
+        with ``_PAD``. Rows are built ``CHUNK_ROWS`` at a time as one byte
+        matrix, the trial index's digits beside the key's row text, and the
+        pads are dropped by ``bytes.translate``, which deletes the NUL bytes
+        ``_PAD == 0`` stands for. Memory stays bounded in the number of trials.
         """
-        columns = (
-            self.alice_setting,
-            self.bob_setting,
-            self.alice_outcome,
-            self.bob_outcome,
-            self.eve_setting,
-            self.eve_outcome,
-            self.coincident,
-        )
-        n = self.alice_setting.size
+        values = [[""] * len(self.table[0]) if col is None else col.astype(np.int64).tolist()
+                  for col in self.table]
+        # numpy's bytes dtype pads each row on the right with NUL, which is _PAD
+        suffix = np.array([("," + ",".join(map(str, row)) + "\r\n").encode() for row in zip(*values)])
+        suffix = suffix.view(np.uint8).reshape(suffix.size, -1)
+        n = self.key.size
         with open(path, "wb") as fh:
             fh.write(b"trial,a_set,b_set,a_out,b_out,e_set,e_out,coincident\r\n")
             for lo in range(0, n, CHUNK_ROWS):
                 hi = min(lo + CHUNK_ROWS, n)
-                fields = [_DecimalField(np.arange(lo, hi))]
-                fields += [None if c is None else _DecimalField(c[lo:hi]) for c in columns]
-                # one byte per separator and two for the row end
-                width = sum(f.width for f in fields if f is not None) + len(fields) + 1
-                rows = np.zeros((hi - lo, width), dtype=np.uint8)
-                start = 0
-                for f in fields:
-                    if f is not None:
-                        f.put(rows[:, start:start + f.width])
-                        start += f.width
-                    rows[:, start] = ord(",")
-                    start += 1
-                rows[:, -2:] = (ord("\r"), ord("\n"))  # over the comma after the last field
-                flat = rows.ravel()
-                fh.write(flat[flat != _PAD])
+                width = len(str(hi - 1))
+                rows = np.empty((hi - lo, width + suffix.shape[1]), dtype=np.uint8)
+                rows[:, width:] = suffix.take(self.key[lo:hi], axis=0)
+                # the trial index, right-aligned, with pads in place of leading zeros
+                q = np.arange(lo, hi, dtype=np.min_scalar_type(hi))  # narrow divides run faster
+                for j in range(width):
+                    nxt = q // 10
+                    digit = rows[:, width - 1 - j]
+                    np.add(q - nxt * 10, ord("0"), out=digit, casting="unsafe")
+                    if j:
+                        digit[q == 0] = _PAD
+                    q = nxt
+                fh.write(rows.tobytes().translate(None, b"\x00"))
 
 
 @dataclass(frozen=True)
@@ -243,15 +235,15 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     into one code per trial, ((a_set * nb + b_set) * 2 + a_plus) and then
     * nb + the interceptor's setting on the attack path, in the narrowest
     unsigned dtype that also holds the key, code * 4 + coincident * 2 +
-    agree: one byte at 2 x 2 settings. That code is the only full-length
-    array of a stats-only run. The streamed pass reads the thresholds from
-    tables over the code and adds each slice's key count to one tally. The
-    agreement uniforms are drawn slice by slice from the call's generator;
-    the registration uniforms from a copy of its PCG64 stream advanced past
-    the n agreement words. Each uniform takes one 64-bit word, so both match
-    single full-length calls. Kept trials are int64 columns, decoded slice by
-    slice from tables over the key, and a bool ``coincident``, as the
-    default draws would give.
+    agree: one byte at 2 x 2 settings. The streamed pass reads the
+    thresholds from tables over the code, writes each slice's key over its
+    code in place and adds the slice's key count to one tally. So that array
+    is the only full-length one of a run, with trials kept or not: kept
+    trials are a ``TrialData`` of it and one table of each key's column
+    values. The agreement uniforms are drawn slice by slice from the call's
+    generator; the registration uniforms from a copy of its PCG64 stream
+    advanced past the n agreement words. Each uniform takes one 64-bit word,
+    so both match single full-length calls.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_pairs
@@ -292,23 +284,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     tally = np.zeros(4 * n_codes, dtype=np.int64)
     rows = min(n, CHUNK_ROWS)
     uniform, threshold = np.empty(rows), np.empty(rows)
-    agree = np.empty(rows, dtype=bool)
-    key = np.empty(rows, dtype=code.dtype)
-    # kept trials take the registrations at full length, and every int64 column
-    # from a table over the key
-    coincident = np.empty(n if keep_trials else rows, dtype=bool)
-    if keep_trials:
-        code_of, coincident_of, agree_of = np.unravel_index(np.arange(tally.size), (n_codes, 2, 2))
-        a_out_of = 2 * a_plus_of[code_of] - 1
-        partner_out_of = np.where(agree_of, a_out_of, -a_out_of)
-        # the receiver reads the partner's outcome where he registers, NO_DETECTION elsewhere
-        decoders = [a_of[code_of], b_of[code_of], a_out_of, partner_out_of * coincident_of]
-        if demon:
-            decoders += [partner_of[code_of], partner_out_of]
-        # the public columns are int64, the dtype of the default integer draws
-        columns = [np.empty(n, dtype=np.int64) for _ in decoders]
-    # every code and key lies in its table, so mode="clip" only spares take
-    # its bounds check and a buffered copy of ``out``
+    agree, coincident = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    # every code lies in its table, so mode="clip" only spares take its bounds
+    # check and a buffered copy of ``out``
     for lo in range(0, n, CHUNK_ROWS):
         c = code[lo:lo + CHUNK_ROWS]
         m = c.size
@@ -316,17 +294,14 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
                           agree_threshold.take(c, out=threshold[:m], mode="clip"), out=agree[:m])
         coincident_c = np.less(register_rng.random(out=uniform[:m]),
                                register_threshold.take(c, out=threshold[:m], mode="clip"),
-                               out=coincident[lo:lo + m] if keep_trials else coincident[:m])
-        # code * 4 + coincident * 2 + agree, doubled by adds: numpy shifts
-        # uint8 about ten times slower
-        key_c = np.add(c, c, out=key[:m])
-        key_c += coincident_c
-        key_c += key_c
-        key_c += agree_c
-        tally += np.bincount(key_c, minlength=tally.size)
-        if keep_trials:
-            for table, column in zip(decoders, columns):
-                table.take(key_c, out=column[lo:lo + m], mode="clip")
+                               out=coincident[:m])
+        # the key, code * 4 + coincident * 2 + agree, replaces the code in place,
+        # doubled by adds: numpy shifts uint8 about ten times slower
+        c += c
+        c += coincident_c
+        c += c
+        c += agree_c
+        tally += np.bincount(c, minlength=tally.size)
     # coincident trials by (a_set, b_set, a_out > 0, agree), over the interceptor's setting
     tally = tally.reshape(na, nb, 2, -1, 2, 2)[..., 1, :].sum(axis=3)
     cell_counts = tally.sum(axis=(2, 3))
@@ -376,9 +351,16 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     trials = None
     if keep_trials:
-        if not demon:
-            columns += [None, None]
-        trials = TrialData(*columns, coincident=coincident)
+        # each key's columns, from its code's draws, coincidence and agreement
+        code_of, coincident_of, agree_of = np.unravel_index(np.arange(4 * n_codes), (n_codes, 2, 2))
+        a_out_of = 2 * a_plus_of[code_of] - 1
+        partner_out_of = np.where(agree_of, a_out_of, -a_out_of)
+        # the receiver reads the partner's outcome where he registers, NO_DETECTION elsewhere
+        columns = [a_of[code_of], b_of[code_of], a_out_of, partner_out_of * coincident_of]
+        columns += [partner_of[code_of], partner_out_of] if demon else [None, None]
+        # int64, the dtype of the default integer draws, and a bool coincident
+        table = [None if col is None else col.astype(np.int64) for col in columns]
+        trials = TrialData(code, (*table, coincident_of.astype(bool)))
     return stats, trials
 
 

@@ -5,12 +5,14 @@ from a per-setting table and its tallies from one count over a per-trial
 key: a cosine per trial, a float64 correlation column, and masked gathers
 for every statistic. It makes the same random draws in the same order, so
 the two must give the same stats and the same trial columns, byte for byte.
+Its kept trials are full-length columns in a plain record, ``Trials``, under
+the seven names that ``qkd.TrialData`` decodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,9 +23,21 @@ from qtwoparty.qkd import (
     InsufficientDataError,
     QkdConfig,
     QkdRunStats,
-    TrialData,
     chsh,
 )
+
+
+@dataclass(frozen=True)
+class Trials:
+    """Per-trial columns; outcomes are +-1 with 0 meaning no detection."""
+
+    alice_setting: np.ndarray
+    bob_setting: np.ndarray
+    alice_outcome: np.ndarray
+    bob_outcome: np.ndarray
+    eve_setting: np.ndarray | None
+    eve_outcome: np.ndarray | None
+    coincident: np.ndarray
 
 
 def _correlated_partner(rng, first: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -117,7 +131,7 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     trials = None
     if keep_trials:
-        trials = TrialData(
+        trials = Trials(
             alice_setting=a_set,
             bob_setting=b_set,
             alice_outcome=a_out,

@@ -425,6 +425,9 @@ def _edited(subcommand, base, **changes):
         ({**_edited("ot-feasibility", FEASIBILITY_PARAMETERS), "seed": 5},
          "seed must be the parameters' seed 0, got 5"),
         (NO_MANIFEST, "No such file or directory"),
+        # the trial CSV is written before the report fails to open, and taken back
+        (_edited("qkd-demon", QKD_PARAMETERS, n_pairs=10, trials_csv="t.csv",
+                 output="nodir/o.json"), "No such file or directory: 'nodir/o.json'"),
     ],
     ids=["list", "subcommand-not-string", "parameters-list", "missing-key", "extra-key",
          "restarts-fractional", "restarts-null", "restarts-bool", "dims-fractional",
@@ -432,9 +435,10 @@ def _edited(subcommand, base, **changes):
          "qkd-seed-fractional", "exact_cap-fractional", "output-int", "trials_csv-int",
          "trials_csv-list", "drop-null", "drop-string", "theta-null", "visibility-null",
          "m_range-fractional", "interval-string", "format-unknown", "thetas-string",
-         "table-seed-string", "seed-differs", "missing-file"],
+         "table-seed-string", "seed-differs", "missing-file", "second-output-fails"],
 )
-def test_replay_refuses_malformed_manifest(tmp_path, capsys, manifest, message):
+def test_replay_refuses_malformed_manifest(tmp_path, capsys, monkeypatch, manifest, message):
+    monkeypatch.chdir(tmp_path)  # a row's relative paths land in tmp_path
     out = tmp_path / "out.json"
     if isinstance(manifest, dict) and isinstance(manifest["parameters"], dict):
         manifest["parameters"].setdefault("output", str(out))

@@ -261,23 +261,15 @@ def test_trials_csv(tmp_path):
 
 def _csv_writer_oracle(trials, path):
     """The row-by-row ``csv.writer`` loop whose bytes ``write_csv`` must keep."""
+    # each read of a column decodes it in full, so read each once
+    columns = [getattr(trials, f.name) for f in fields(qkd_oracle.Trials)]
+    n = columns[0].size
+    columns = [[""] * n if col is None else col.astype(int).tolist() for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "a_set", "b_set", "a_out", "b_out", "e_set", "e_out", "coincident"])
-        has_eve = trials.eve_setting is not None
-        for i in range(trials.alice_setting.size):
-            writer.writerow(
-                [
-                    i,
-                    int(trials.alice_setting[i]),
-                    int(trials.bob_setting[i]),
-                    int(trials.alice_outcome[i]),
-                    int(trials.bob_outcome[i]),
-                    int(trials.eve_setting[i]) if has_eve else "",
-                    int(trials.eve_outcome[i]) if has_eve else "",
-                    int(trials.coincident[i]),
-                ]
-            )
+        for i, row in enumerate(zip(*columns)):
+            writer.writerow([i, *row])
 
 
 def _assert_csv_matches_oracle(trials, tmp_path):
@@ -318,34 +310,29 @@ def test_write_csv_bytes_at_other_setting_counts(tmp_path, attack, settings):
     _assert_csv_matches_oracle(trials, tmp_path)
 
 
-def test_write_csv_bytes_at_int64_extremes(tmp_path):
-    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    col = np.array([lo, -(10**18), -10, -9, -1, 0, 1, 9, 10, 10**18, hi], dtype=np.int64)
-    cols = [np.roll(col, k) for k in range(7)]
-    _assert_csv_matches_oracle(qkd.TrialData(*cols), tmp_path)
-    _assert_csv_matches_oracle(qkd.TrialData(*cols[:4], None, None, cols[6]), tmp_path)
-
-
-def test_write_csv_matches_oracle_on_arbitrary_columns(tmp_path, monkeypatch):
+def test_write_csv_matches_oracle_on_simulated_trials(tmp_path, monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
-    from hypothesis.extra import numpy as hnp
-
     st = hypothesis.strategies
-    value = st.one_of(st.integers(-12, 12), st.integers(-(2**63), 2**63 - 1))
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
-        hnp.arrays(np.int64, st.tuples(st.just(7), st.integers(0, 30)), elements=value),
-        st.booleans(),
+        st.sampled_from([qkd.ATTACK_NONE, qkd.ATTACK_DEMON]),
+        st.integers(1, 11),
+        st.integers(1, 11),
+        # trial indices cross from one to two and from two to three digits
+        st.one_of(st.integers(1, 12), st.integers(95, 130)),
         st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
     )
-    def check(cols, honest, chunk):
-        cols = list(cols)
-        if honest:
-            cols[4] = cols[5] = None
-        # small chunks, so chunks of different widths meet in one file
+    def check(attack, na, nb, n_pairs, chunk, seed):
+        # small chunks, so chunks of different index widths meet in one file
         monkeypatch.setattr(qkd, "CHUNK_ROWS", chunk)
-        _assert_csv_matches_oracle(qkd.TrialData(*cols), tmp_path)
+        config = qkd.QkdConfig(
+            n_pairs=n_pairs, alice_settings=ELEVEN_SETTINGS[:na], bob_settings=ELEVEN_SETTINGS[:nb],
+            attack=attack, seed=seed,
+        )
+        _, trials = qkd.simulate(config, keep_trials=True)
+        _assert_csv_matches_oracle(trials, tmp_path)
 
     check()
 
@@ -453,7 +440,7 @@ def _assert_matches_oracle(config):
     assert json.dumps(qkd.simulate(config)[0].to_json_dict()) == json.dumps(
         ref_stats.to_json_dict()
     ), config
-    for name in (f.name for f in fields(qkd.TrialData)):
+    for name in (f.name for f in fields(qkd_oracle.Trials)):
         got, ref = getattr(trials, name), getattr(ref_trials, name)
         if ref is None:
             assert got is None, (name, config)
@@ -595,12 +582,12 @@ def test_simulate_matches_oracle_at_wide_codes(attack):
 
 
 # A run keeps one code per trial at full length, one byte at the 2 x 2
-# settings, and one chunk of working arrays. One chunk was measured at 27 bytes
-# per row (float64 uniforms and thresholds, bool flags, the key and its intp
-# copy in ``bincount``) on both paths; the allowance of 40 leaves a 48 % margin
+# settings, and one chunk of working arrays. One chunk was measured at 26 bytes
+# per row (float64 uniforms and thresholds, bool flags and the intp copy of the
+# key in ``bincount``) on both paths; the allowance of 40 leaves a 54 % margin
 # and stays below the 8 bytes per pair that a full-length float64 column adds.
-# Kept trials add their int64 columns and the bool ``coincident``, and nothing
-# else at full length.
+# Kept trials are that code, turned into the key in place, and a table per key,
+# so they take the same bound.
 CODE_BYTES_PER_PAIR = 1
 CHUNK_BYTES_PER_ROW = 40
 
@@ -615,19 +602,15 @@ def _simulate_peak(config, keep_trials):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-def test_stats_only_memory_per_pair(attack):
+@pytest.mark.parametrize(
+    "attack, keep_trials",
+    [(qkd.ATTACK_NONE, False), (qkd.ATTACK_DEMON, False),
+     (qkd.ATTACK_NONE, True), (qkd.ATTACK_DEMON, True)],
+    ids=["none", "demon", "none-kept", "demon-kept"],
+)
+def test_stats_only_memory_per_pair(attack, keep_trials):
     n = 1_000_000
-    peak = _simulate_peak(qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW), False)
+    config = qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW)
+    peak = _simulate_peak(config, keep_trials)
     bound = CODE_BYTES_PER_PAIR * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
-    assert peak <= bound, (peak / n, bound / n)
-
-
-@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-def test_kept_trials_memory_per_pair(attack):
-    # the int64 columns are decoded chunk by chunk, beside no other full-length draws
-    n = 1_000_000
-    peak = _simulate_peak(qkd.QkdConfig(n_pairs=n, attack=attack, seed=20, **CHSH_KW), True)
-    int_columns = 6 if attack == qkd.ATTACK_DEMON else 4
-    bound = (CODE_BYTES_PER_PAIR + 8 * int_columns + 1) * n + CHUNK_BYTES_PER_ROW * qkd.CHUNK_ROWS
     assert peak <= bound, (peak / n, bound / n)
