@@ -16,23 +16,20 @@ whenever t_eve >= (number of receiver settings) * t_honest.
 The sender's detectors are taken as perfectly efficient so the coincidence
 filter is driven entirely by the receiver's arm.
 
-A run is reproducible from its config and seed: ``simulate`` makes its
-random draws in one fixed order (see its docstring), and that order is the
-contract that trial CSVs and recorded statistics rest on. The statistics
-are one count over a small integer key per trial, so every cell count and
-+-1 sum is an exact integer. Every draw is made in ``CHUNK_ROWS`` slices,
-and the registration uniforms are read from an advanced copy of the same
-PCG64 stream, so the draws are those of one call per column. A trial's
-integer draws are kept as one packed code, one byte at the default
-settings, which the streamed pass turns into the trial's key in place;
-everything else streams. A kept trial is that key: ``TrialData`` holds the
-key array and one table of each key's column values, and decodes or
-writes columns from the two.
+A run is reproducible from its config and seed: ``simulate`` draws n
+values per column from one generator, column after column in one fixed
+order (see its docstring), and that order is the contract that trial CSVs
+and recorded statistics rest on. A trial's key holds its draws in mixed
+radix, in that order: one byte at the default settings. Every column is
+drawn and folded into the keys in ``CHUNK_ROWS`` slices, so the key array
+is the only full-length array of a run. The statistics are one count over
+the keys, so every cell count and +-1 sum is an exact integer. A kept
+trial is its key: ``TrialData`` holds the key array and one table of each
+key's column values, and decodes or writes columns from the two.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -75,10 +72,11 @@ class QkdConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_pairs", linalg.check_integer("n_pairs", self.n_pairs, 1))
         object.__setattr__(self, "seed", linalg.check_integer("seed", self.seed, 0))
-        object.__setattr__(self, "alice_settings", tuple(float(a) for a in self.alice_settings))
-        object.__setattr__(self, "bob_settings", tuple(float(a) for a in self.bob_settings))
-        if not self.alice_settings or not self.bob_settings:
-            raise ValueError("setting lists must be nonempty")
+        for name in ("alice_settings", "bob_settings"):
+            angles = tuple(float(a) for a in getattr(self, name))
+            if not angles or not all(map(math.isfinite, angles)):
+                raise ValueError(f"{name} must be a nonempty list of finite angles, got {angles}")
+            object.__setattr__(self, name, angles)
         visibility = float(self.visibility)
         if not 0.0 <= visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
@@ -106,11 +104,13 @@ def _decoded(row: int):
 class TrialData:
     """Kept trials: each trial's key, and each key's values in one small table.
 
-    ``key`` is the per-trial key of ``simulate``, code * 4 + coincident * 2 +
-    agree, in the code's narrowest unsigned dtype. ``table`` holds, per column
-    of the trial CSV after the trial index, that column's value for every key:
-    int64 arrays, with outcomes +-1 and 0 meaning no detection; a bool array
-    for ``coincident``; and None for the interceptor's two columns on honest
+    ``key`` is the per-trial key of ``simulate``: the trial's draws in draw
+    order in mixed radix, a_set, b_set, a_plus, the interceptor's setting
+    (attack path only), agree and coincident, in the narrowest unsigned
+    dtype that holds every key. ``table`` holds, per column of the trial CSV
+    after the trial index, that column's value for every key: int64 arrays,
+    with outcomes +-1 and 0 meaning no detection; a bool array for
+    ``coincident``; and None for the interceptor's two columns on honest
     runs. The seven column names are read-only properties that decode the
     full-length column with ``take`` on each read.
     """
@@ -216,34 +216,30 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     receiver only on matching settings, through the replaced channel.
 
     Deterministic per (config, seed): one private generator per call. Its
-    draws, n of each in this order, are the reproducibility contract: the
-    sender's settings, the receiver's settings, the sender's outcomes, the
-    interceptor's settings (attack path only), the agreement uniforms and
-    the registration uniforms. A trial's partner outcome agrees with the
-    sender's when its uniform falls below (1 + E) / 2, read from a table
-    over the setting pairs. The statistics are one count over a per-trial
-    key: the trial's integer draws, whether the receiver registered, and
-    agreement. On the attack path the receiver registers only the
-    interceptor's signal and reads her outcome, so every coincident outcome
-    is hers.
+    draws are the reproducibility contract: n of each column, column after
+    column in this order: the sender's settings, the receiver's settings,
+    the sender's outcomes, the interceptor's settings (attack path only),
+    the agreement uniforms and the registration uniforms. A trial's partner
+    outcome agrees with the sender's when its agreement uniform falls below
+    (1 + E) / 2, and the receiver registers when his registration uniform
+    falls below the registration probability. On the attack path the
+    receiver registers only the interceptor's signal and reads her outcome,
+    so every coincident outcome is hers.
 
-    The draw order above is unchanged by how the work is laid out: every
-    draw is made in ``CHUNK_ROWS`` slices. The integer draws are uint32,
-    which takes the same bounded 32-bit draw per value as numpy's default
-    int64, and the unused half of a 64-bit word waits in the bit generator,
-    so a column's slices match one full-length call. Each slice is folded
-    into one code per trial, ((a_set * nb + b_set) * 2 + a_plus) and then
-    * nb + the interceptor's setting on the attack path, in the narrowest
-    unsigned dtype that also holds the key, code * 4 + coincident * 2 +
-    agree: one byte at 2 x 2 settings. The streamed pass reads the
-    thresholds from tables over the code, writes each slice's key over its
-    code in place and adds the slice's key count to one tally. So that array
-    is the only full-length one of a run, with trials kept or not: kept
-    trials are a ``TrialData`` of it and one table of each key's column
-    values. The agreement uniforms are drawn slice by slice from the call's
-    generator; the registration uniforms from a copy of its PCG64 stream
-    advanced past the n agreement words. Each uniform takes one 64-bit word,
-    so both match single full-length calls.
+    A trial's key holds those draws in that order, in mixed radix
+    (na, nb, 2[, nb], 2, 2): the integer draws as drawn, then agree and
+    coincident, each uniform column's outcome. ``np.unravel_index`` over
+    that radix gives each key's digits, from which the statistics and the
+    kept trials' table are read. The key is held in the narrowest unsigned
+    dtype that holds every key, one byte at 2 x 2 settings, and it is the
+    only full-length array of a run, with trials kept or not; the
+    statistics are one count over it. Each column is drawn in
+    ``CHUNK_ROWS`` slices and folded into the keys slice by slice, so the
+    keys drawn so far pick each uniform's threshold. The slices leave the
+    draws as they are: the integer draws are uint32, which takes the same
+    bounded 32-bit draw per value as numpy's default int64, the unused half
+    of a 64-bit word waits in the bit generator, and each uniform takes one
+    whole 64-bit word, so a column's slices match one full-length call.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_pairs
@@ -252,58 +248,50 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     na, nb = a_angles.size, b_angles.size
     demon = config.attack == ATTACK_DEMON
 
-    # one code per trial, its integer draws in mixed radix: a_set, b_set, a_plus
-    # (the sender's outcome is 2 * a_plus - 1) and, on the attack path, the
-    # interceptor's setting; the partner measures the sender's twin photon
-    highs = (na, nb, 2, nb) if demon else (na, nb, 2)
-    n_codes = math.prod(highs)
-    # the narrowest dtype that also holds the key, code * 4 + coincident * 2 + agree
-    code = np.zeros(n, dtype=np.min_scalar_type(4 * n_codes - 1))
-    for high in highs:
-        for lo in range(0, n, CHUNK_ROWS):
-            digits = code[lo:lo + CHUNK_ROWS]
-            digits *= high
-            # uint32 takes the same bounded 32-bit draw per value as the default int64
-            np.add(digits, rng.integers(0, high, size=digits.size, dtype=np.uint32),
-                   out=digits, dtype=code.dtype)
-    # each code's draws, for the tables the streamed pass reads
-    a_of, b_of, a_plus_of, *rest = np.unravel_index(np.arange(n_codes), highs)
+    # one key per trial, its draws in mixed radix in draw order: a_set, b_set,
+    # a_plus (the sender's outcome is 2 * a_plus - 1), on the attack path the
+    # interceptor's setting, then agree and coincident from the two uniform columns
+    radix = (na, nb, 2, nb, 2, 2) if demon else (na, nb, 2, 2, 2)
+    a_of, b_of, a_plus_of, *rest, agree_of, coincident_of = np.unravel_index(
+        np.arange(math.prod(radix)), radix)
+    # the partner measures the sender's twin photon
     partner_of = rest[0] if demon else b_of
-    # a uniform takes one 64-bit word, so the registration uniforms are the n
-    # words after the agreement uniforms: a copy of the stream jumped past them
-    register_rng = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n))
     # P(partner agrees with the sender) = (1 + E) / 2 per setting pair, E = V cos 2(a - b)
     p_agree = 0.5 * (1.0 + config.visibility * np.cos(2.0 * (a_angles[:, None] - b_angles)))
-    agree_threshold = p_agree[a_of, partner_of]
     # the sender always registers, so a coincidence is the receiver's registration;
     # on the attack path only where the interceptor's setting is his, and a
     # uniform is never below 0.0
     t = config.channel_transmission_eve if demon else config.channel_transmission_honest
-    register_threshold = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
+    p_register = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
+    # a uniform column's threshold per key drawn before it, which is the key with
+    # every later digit 0: every 4th key for agree, every 2nd for coincident;
+    # copied once, as take copies a strided table on every call
+    thresholds = [None] * (len(radix) - 2) + [
+        np.ascontiguousarray(p_agree[a_of, partner_of][::4]), np.ascontiguousarray(p_register[::2])]
 
-    tally = np.zeros(4 * n_codes, dtype=np.int64)
+    key = np.zeros(n, dtype=np.min_scalar_type(a_of.size - 1))
     rows = min(n, CHUNK_ROWS)
-    uniform, threshold = np.empty(rows), np.empty(rows)
-    agree, coincident = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    # every code lies in its table, so mode="clip" only spares take its bounds
-    # check and a buffered copy of ``out``
-    for lo in range(0, n, CHUNK_ROWS):
-        c = code[lo:lo + CHUNK_ROWS]
-        m = c.size
-        agree_c = np.less(rng.random(out=uniform[:m]),
-                          agree_threshold.take(c, out=threshold[:m], mode="clip"), out=agree[:m])
-        coincident_c = np.less(register_rng.random(out=uniform[:m]),
-                               register_threshold.take(c, out=threshold[:m], mode="clip"),
-                               out=coincident[:m])
-        # the key, code * 4 + coincident * 2 + agree, replaces the code in place,
-        # doubled by adds: numpy shifts uint8 about ten times slower
-        c += c
-        c += coincident_c
-        c += c
-        c += agree_c
-        tally += np.bincount(c, minlength=tally.size)
-    # coincident trials by (a_set, b_set, a_out > 0, agree), over the interceptor's setting
-    tally = tally.reshape(na, nb, 2, -1, 2, 2)[..., 1, :].sum(axis=3)
+    uniform, threshold, below = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+    for high, per_prefix in zip(radix, thresholds):
+        for lo in range(0, n, CHUNK_ROWS):
+            digits = key[lo:lo + CHUNK_ROWS]
+            m = digits.size
+            if per_prefix is None:
+                # uint32 takes the same bounded 32-bit draw per value as the default int64
+                draw = rng.integers(0, high, size=m, dtype=np.uint32)
+            else:
+                # every prefix lies in its table, so mode="clip" only spares take
+                # its bounds check and the buffering of ``out``
+                draw = np.less(rng.random(out=uniform[:m]),
+                               per_prefix.take(digits, out=threshold[:m], mode="clip"), out=below[:m])
+            digits *= high
+            np.add(digits, draw, out=digits, dtype=key.dtype)
+            del draw  # the last slice of uint32 draws would outlive its column
+    tally = np.zeros(a_of.size, dtype=np.int64)
+    for lo in range(0, n, CHUNK_ROWS):  # bincount copies its input to intp
+        tally += np.bincount(key[lo:lo + CHUNK_ROWS], minlength=tally.size)
+    # coincident trials by (a_set, b_set, a_plus, agree), over the interceptor's setting
+    tally = tally.reshape(na, nb, 2, -1, 2, 2)[..., 1].sum(axis=3)
     cell_counts = tally.sum(axis=(2, 3))
     # a_out * b_out is +1 where they agree and -1 elsewhere: exact integer sums
     cell_sums = (tally[..., 1] - tally[..., 0]).sum(axis=2).astype(float)
@@ -351,16 +339,15 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     trials = None
     if keep_trials:
-        # each key's columns, from its code's draws, coincidence and agreement
-        code_of, coincident_of, agree_of = np.unravel_index(np.arange(4 * n_codes), (n_codes, 2, 2))
-        a_out_of = 2 * a_plus_of[code_of] - 1
+        # each key's columns, read from its digits
+        a_out_of = 2 * a_plus_of - 1
         partner_out_of = np.where(agree_of, a_out_of, -a_out_of)
         # the receiver reads the partner's outcome where he registers, NO_DETECTION elsewhere
-        columns = [a_of[code_of], b_of[code_of], a_out_of, partner_out_of * coincident_of]
-        columns += [partner_of[code_of], partner_out_of] if demon else [None, None]
+        columns = [a_of, b_of, a_out_of, partner_out_of * coincident_of]
+        columns += [partner_of, partner_out_of] if demon else [None, None]
         # int64, the dtype of the default integer draws, and a bool coincident
         table = [None if col is None else col.astype(np.int64) for col in columns]
-        trials = TrialData(code, (*table, coincident_of.astype(bool)))
+        trials = TrialData(key, (*table, coincident_of.astype(bool)))
     return stats, trials
 
 

@@ -240,10 +240,19 @@ def test_qkd_demon_zero_visibility(tmp_path):
     assert abs(payload["stats"]["chsh_value"]) <= 4 * payload["stats"]["chsh_stderr"]
 
 
-def test_qkd_demon_bad_config(tmp_path, capsys):
-    assert run(["qkd-demon", "--n-pairs", "10", "--visibility", "2.0",
-                "--output", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
-    assert "visibility" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--visibility", "2.0"], "visibility"),
+     (["--alice-angles", "nan", "0"], "alice_settings"),
+     (["--bob-angles", "inf", "0"], "bob_settings")],
+    ids=["visibility", "alice-nan", "bob-inf"],
+)
+def test_qkd_demon_bad_config(tmp_path, capsys, flags, field):
+    out = tmp_path / "x.json"
+    assert run(["qkd-demon", "--n-pairs", "10", *flags, "--output", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert list(tmp_path.iterdir()) == []  # neither the output nor its manifest
 
 
 def test_qkd_demon_degree_angles(tmp_path):

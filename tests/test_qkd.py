@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
@@ -30,6 +29,11 @@ def test_config_validation():
         qkd.QkdConfig(n_pairs=0)
     with pytest.raises(ValueError):
         qkd.QkdConfig(n_pairs=10, alice_settings=())
+    # a non-finite setting is refused by name, not carried into a cosine
+    for name in ("alice_settings", "bob_settings"):
+        for bad in (math.nan, math.inf, -math.inf, "nan"):
+            with pytest.raises(ValueError, match=name):
+                qkd.QkdConfig(n_pairs=10, **{name: (bad, 0.0)})
     with pytest.raises(ValueError):
         qkd.QkdConfig(n_pairs=10, visibility=1.5)
     with pytest.raises(ValueError):
@@ -527,19 +531,26 @@ def test_sliced_uint32_draws_equal_one_call(high):
                 assert sliced.bit_generator.state == whole.bit_generator.state, case
 
 
-@pytest.mark.parametrize("odd", [1, 3, 7])
-def test_advanced_copy_reads_the_tail_of_one_random_call(odd):
-    # after an odd number of 32-bit draws half a word is buffered; a uniform
-    # takes a whole 64-bit word, so the buffered half does not shift either stream
-    for n in (1, 2, 5, 1000):
-        rng, ref = np.random.default_rng(odd), np.random.default_rng(odd)
-        for r in (rng, ref):
-            r.integers(0, 3, size=odd, dtype=np.uint32)
-        full = ref.random(2 * n)
-        tail = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n)).random(n)
-        assert np.array_equal(tail, full[n:]), (np.__version__, odd, n)
-        head = np.concatenate([rng.random(k) for k in (n // 3, n - n // 3)])
-        assert np.array_equal(head, full[:n]), (np.__version__, odd, n)
+@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+@pytest.mark.parametrize("na, nb", [(2, 2), (3, 4)])
+def test_key_holds_the_draws_in_draw_order(attack, na, nb):
+    # a trial's key is its draws in mixed radix, in the order they are drawn
+    config = qkd.QkdConfig(n_pairs=5000, alice_settings=ALICE_FOUR[:na], bob_settings=BOB_FOUR[:nb],
+                           visibility=0.37, attack=attack, seed=na * nb)
+    key = qkd.simulate(config, keep_trials=True)[1].key
+    ref = qkd_oracle.simulate(config, keep_trials=True)[1]
+    demon = attack == qkd.ATTACK_DEMON
+    radix = (na, nb, 2, nb, 2, 2) if demon else (na, nb, 2, 2, 2)
+    a_set, b_set, a_plus, *eve_set, agree, coincident = np.unravel_index(key, radix)
+    assert np.array_equal(a_set, ref.alice_setting)
+    assert np.array_equal(b_set, ref.bob_setting)
+    assert np.array_equal(a_plus, ref.alice_outcome > 0)
+    assert len(eve_set) == demon and all(np.array_equal(e, ref.eve_setting) for e in eve_set)
+    assert np.array_equal(coincident, ref.coincident)
+    # the receiver's outcome is read only on coincident trials
+    kept = ref.coincident
+    assert np.array_equal(agree[kept], ref.bob_outcome[kept] == ref.alice_outcome[kept])
+    assert 0 < agree[kept].sum() < kept.sum() < config.n_pairs
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -581,13 +592,13 @@ def test_simulate_matches_oracle_at_wide_codes(attack):
         ))
 
 
-# A run keeps one code per trial at full length, one byte at the 2 x 2
-# settings, and one chunk of working arrays. One chunk was measured at 26 bytes
-# per row (float64 uniforms and thresholds, bool flags and the intp copy of the
-# key in ``bincount``) on both paths; the allowance of 40 leaves a 54 % margin
-# and stays below the 8 bytes per pair that a full-length float64 column adds.
-# Kept trials are that code, turned into the key in place, and a table per key,
-# so they take the same bound.
+# A run keeps one key per trial at full length, one byte at the 2 x 2
+# settings, and one chunk of working arrays. One chunk was measured at 25 bytes
+# per row (float64 uniforms and thresholds, one bool buffer and the intp copy
+# of the keys in ``take`` and ``bincount``) on both paths; the allowance of 40
+# leaves a 60 % margin and stays below the 8 bytes per pair that a full-length
+# float64 column adds. Kept trials are that key and a table per key, so they
+# take the same bound.
 CODE_BYTES_PER_PAIR = 1
 CHUNK_BYTES_PER_ROW = 40
 
