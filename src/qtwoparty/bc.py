@@ -75,8 +75,7 @@ def mixture_fidelity(m: int, theta: float) -> float:
     Cross-checked against the dense fidelity of the built mixtures in the
     test suite.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = linalg.check_integer("m", m, 1)
     s2 = math.sin(theta) ** 2
     c2 = math.cos(theta) ** 2
     if s2 == 0.0:
@@ -99,8 +98,7 @@ def mixture_trace_distance(m: int, theta: float) -> float:
     whose 2^m eigenvalues are all +-sin(2 theta)^m 2^(1-m); cross-checked
     densely in the test suite.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = linalg.check_integer("m", m, 1)
     return math.sin(2 * theta) ** m
 
 

@@ -138,8 +138,8 @@ class ResidualReport:
     """Per-family constraint deviations; pairs are (b = 0, b = 1) values.
 
     Families outside the evaluated configuration are None. ``total`` is the
-    sum over evaluated families and vanishes only when every evaluated
-    component is below 1e-10.
+    plain sum of the evaluated components; ``ZERO_COMPONENT_TOL`` is the
+    level above which a component counts as violated.
     """
 
     half_bit: tuple[float, float] | None
@@ -164,19 +164,21 @@ def residual(
     candidate: TripartiteCandidate,
     config: ConstraintConfig = FULL_CONFIG,
 ) -> ResidualReport:
-    """Constraint residuals of a candidate under the given configuration."""
-    parts = tuple(_state_part(psi.reshape(1, *candidate.dims), config)
-                  for psi in (candidate.psi0, candidate.psi1))
-    effects = np.stack([candidate.povm.effect(lab) for lab in (ot.BIT0, ot.BIT1, ot.HASH)])[None]
-    per_bit = tuple(_bit_values(parts[b], effects, b, config) for b in (0, 1))
-    bob_info = _bob_info(parts) if "bob_info" in config.families else None
+    """Constraint residuals of a candidate under the given configuration.
+
+    The candidate is scored as a stack of one by ``_Batch``, the search's
+    own evaluator.
+    """
+    psis = (psi.reshape(1, *candidate.dims) for psi in (candidate.psi0, candidate.psi1))
+    effects = np.stack([candidate.povm.effect(lab) for lab in _LABELS])[None]
+    batch = _Batch(*psis, effects, config)
     values = {
-        fam: (float(per_bit[0][fam][0]), float(per_bit[1][fam][0])) if fam in per_bit[0] else None
+        fam: (float(batch.per_bit[0][fam][0]), float(batch.per_bit[1][fam][0]))
+        if fam in batch.per_bit[0] else None
         for fam in _BIT_FAMILIES
     }
-    values["bob_info"] = None if bob_info is None else float(bob_info[0])
-    total = float(_total(per_bit, bob_info, config)[0])
-    return ResidualReport(config=config, total=total, **values)
+    values["bob_info"] = None if batch.bob is None else float(batch.bob[0])
+    return ResidualReport(config=config, total=float(batch.total[0]), **values)
 
 
 # The evaluation below works on stacks of arrays that are already valid, one
@@ -190,6 +192,7 @@ def residual(
 # einsum contractions below. The einsum trace ``kii->k`` and
 # ``np.linalg.norm(axis=1)`` do not have it.
 
+_LABELS = (ot.BIT0, ot.BIT1, ot.HASH)
 _BIT_FAMILIES = ("half_bit", "half_hash", "wrong_bit", "alice_blind")
 _MARGINAL_FAMILIES = ("half_bit", "half_hash", "wrong_bit")
 
@@ -259,6 +262,12 @@ def _total(per_bit, bob_info, config: ConstraintConfig) -> np.ndarray:
     return total
 
 
+def _candidate(dims: tuple[int, int, int], psis, effects: np.ndarray) -> TripartiteCandidate:
+    """The candidate with states ``psis`` and (bit0, bit1, hash) effects ``effects``."""
+    povm = linalg.Povm(tuple(zip(_LABELS, effects)))
+    return TripartiteCandidate(dims, psis[0].reshape(-1), psis[1].reshape(-1), povm)
+
+
 def usd_witness(dims=(2, 2, 2), theta: float = math.pi / 6) -> TripartiteCandidate:
     """Honest unambiguous-discrimination protocol embedded at the given dims.
 
@@ -269,45 +278,19 @@ def usd_witness(dims=(2, 2, 2), theta: float = math.pi / 6) -> TripartiteCandida
     da, db, du = _dims(dims)
     if db < 2:
         raise ValueError("usd_witness needs d_B >= 2")
-    psi0, psi1 = ot.make_states(theta)
-    e0, e1, ehash = ot._usd_effects(ot.OtParams(theta).theta)
-
-    def embed_state(v2):
-        v = np.zeros(db)
-        v[:2] = v2
-        return v
-
-    def embed_effect(m2, absorb_rest: bool):
-        m = np.zeros((db, db))
-        m[:2, :2] = m2
-        if absorb_rest and db > 2:
-            m[2:, 2:] = np.eye(db - 2)
-        return m
-
-    a0 = np.zeros(da)
-    a0[0] = 1.0
-    u0 = np.zeros(du)
-    u0[0] = 1.0
-    povm = linalg.Povm(
-        (
-            (ot.BIT0, embed_effect(e0, False)),
-            (ot.BIT1, embed_effect(e1, False)),
-            (ot.HASH, embed_effect(ehash, True)),
-        )
-    )
-    return TripartiteCandidate(
-        dims=(da, db, du),
-        psi0=np.kron(a0, np.kron(embed_state(psi0), u0)),
-        psi1=np.kron(a0, np.kron(embed_state(psi1), u0)),
-        povm=povm,
-    )
+    psis = np.zeros((2, da, db, du))
+    psis[:, 0, :2, 0] = ot.make_states(theta)
+    effects = np.zeros((3, db, db))
+    effects[:, :2, :2] = ot._usd_effects(ot.OtParams(theta).theta)
+    effects[2, 2:, 2:] = np.eye(db - 2)  # the hash absorbs the rest of B
+    return _candidate((da, db, du), psis, effects)
 
 
 def steerable_witness(dims=(2, 3, 2)) -> TripartiteCandidate:
     """Mixed-marginal candidate meeting every family except alice_blind.
 
     rho_0^B = (|0><0| + |1><1|)/2 and rho_1^B = (|0><0| + |2><2|)/2 with
-    projective effects E_0 = |1><1|, E_1 = |2><2|, E_hash = |0><0| give
+    projective effects E_0 = |1><1|, E_1 = |2><2|, E_hash = I - E_0 - E_1 give
     exact half/half statistics, zero wrong-bit probability, and
     D(rho_0^BU, rho_1^BU) = 1/2. The purification into A is precisely what
     lets the sender learn the outcome, so alice_blind fails (residual 1 per
@@ -316,28 +299,12 @@ def steerable_witness(dims=(2, 3, 2)) -> TripartiteCandidate:
     da, db, du = _dims(dims)
     if da < 2 or db < 3:
         raise ValueError("steerable_witness needs d_A >= 2 and d_B >= 3")
-    u0 = np.zeros(du)
-    u0[0] = 1.0
-
-    def basis(dim, i):
-        v = np.zeros(dim)
-        v[i] = 1.0
-        return v
-
-    psi0 = (
-        np.kron(basis(da, 0), np.kron(basis(db, 0), u0))
-        + np.kron(basis(da, 1), np.kron(basis(db, 1), u0))
-    ) / math.sqrt(2)
-    psi1 = (
-        np.kron(basis(da, 0), np.kron(basis(db, 0), u0))
-        + np.kron(basis(da, 1), np.kron(basis(db, 2), u0))
-    ) / math.sqrt(2)
-
-    e0 = np.outer(basis(db, 1), basis(db, 1))
-    e1 = np.outer(basis(db, 2), basis(db, 2))
-    ehash = np.eye(db) - e0 - e1
-    povm = linalg.Povm(((ot.BIT0, e0), (ot.BIT1, e1), (ot.HASH, ehash)))
-    return TripartiteCandidate(dims=(da, db, du), psi0=psi0, psi1=psi1, povm=povm)
+    psis = np.zeros((2, da, db, du))
+    psis[:, 0, 0, 0] = psis[0, 1, 1, 0] = psis[1, 1, 2, 0] = 1 / math.sqrt(2)
+    effects = np.zeros((3, db, db))
+    effects[0, 1, 1] = effects[1, 2, 2] = 1.0
+    effects[2] = np.eye(db) - effects[0] - effects[1]
+    return _candidate((da, db, du), psis, effects)
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +329,25 @@ def candidate_from_vector(x: np.ndarray, dims: tuple[int, int, int]) -> Triparti
     whose S is singular (an all-zero segment, or G_i sharing a kernel
     vector), since its decoded effects miss completeness.
     """
+    dims = _dims(dims)
     x = np.asarray(x, dtype=float)
     if x.shape != (_n_params(dims),):
         raise ValueError(f"parameter vector must have length {_n_params(dims)}")
-    _, _, (lo, _) = _segment_bounds(dims)
-    psi0, psi1 = _decode_states(x[:lo].reshape(2, -1))
-    effects = _decode_povms(x[None, lo:], dims[1])[0]
-    povm = linalg.Povm(((ot.BIT0, effects[0]), (ot.BIT1, effects[1]), (ot.HASH, effects[2])))
-    return TripartiteCandidate(dims=dims, psi0=psi0, psi1=psi1, povm=povm)
+    psi0, psi1, effects = _decode(x[None], dims)
+    return _candidate(dims, (psi0[0], psi1[0]), effects[0])
 
 
 def _segment_bounds(dims: tuple[int, int, int]) -> tuple:
     """(start, stop) of the psi0, psi1 and POVM parts of a parameter vector."""
     total = dims[0] * dims[1] * dims[2]
     return (0, 2 * total), (2 * total, 4 * total), (4 * total, _n_params(dims))
+
+
+def _decode(x: np.ndarray, dims: tuple[int, int, int]) -> tuple:
+    """Stacks of psi0, psi1 (K, dA, dB, dU) and effects (K, 3, dB, dB) from K parameter rows."""
+    bounds = _segment_bounds(dims)
+    psi0, psi1 = (_decode_states(x[:, lo:hi]).reshape(-1, *dims) for lo, hi in bounds[:2])
+    return psi0, psi1, _decode_povms(x[:, bounds[2][0] :], dims[1])
 
 
 def _decode_states(segs: np.ndarray) -> np.ndarray:
@@ -442,7 +414,10 @@ class FeasibilityReport:
 class _Batch:
     """Decoded parts and values of a stack of points, one per restart.
 
-    Holds, per point, its decoded states and marginals, effects, per-bit
+    Built from decoded arrays: the psi0 and psi1 stacks, shaped
+    (K, dA, dB, dU), and the (K, 3, dB, dB) effects. It is the one place
+    that scores a candidate from scratch; ``residual`` builds a stack of
+    one. Holds, per point, its states and marginals, effects, per-bit
     values, ``bob_info`` and total. ``fix`` picks a segment (0 and 1 for
     psi0 and psi1, 2 for the POVM) and the points whose probes will move
     it; ``score`` then recomputes only that segment for each probe, against
@@ -451,14 +426,13 @@ class _Batch:
     POVM move re-scores both bits and keeps ``bob_info``.
     """
 
-    def __init__(self, x: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfig):
-        self.dims = dims
+    def __init__(self, psi0: np.ndarray, psi1: np.ndarray, effects: np.ndarray,
+                 config: ConstraintConfig):
+        self.dims = psi0.shape[1:]
         self.config = config
         self.with_bob = "bob_info" in config.families
-        bounds = _segment_bounds(dims)
-        self.parts = [_state_part(_decode_states(x[:, lo:hi]).reshape(-1, *dims), config)
-                      for lo, hi in bounds[:2]]
-        self.effects = _decode_povms(x[:, bounds[2][0] :], dims[1])
+        self.parts = [_state_part(psi, config) for psi in (psi0, psi1)]
+        self.effects = effects
         self.per_bit = [_bit_values(self.parts[b], self.effects, b, config) for b in (0, 1)]
         self.bob = _bob_info(self.parts) if self.with_bob else None
         self.total = _total(self.per_bit, self.bob, config)
@@ -544,7 +518,7 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     """
     x = np.array(x0, dtype=float)
     count = x.shape[0]
-    batch = _Batch(x, dims, config)
+    batch = _Batch(*_decode(x, dims), config)
     best = batch.total  # kept up to date by batch.keep
     evals = np.ones(count, dtype=np.int64)
     sweeps = np.zeros(count, dtype=np.int64)

@@ -185,7 +185,7 @@ class OtSimulation:
     params: OtParams
     strategy: str
     n_rounds: int
-    seed: object
+    seed: int
     counts: dict[int, dict[str, int]]
     bit_counts: dict[int, int]
     expected: dict[int, dict[str, float]]
@@ -245,7 +245,8 @@ def simulate_rounds(
     """
     params = _coerce(params)
     n_rounds = linalg.check_integer("n_rounds", n_rounds, 1)
-    rng = np.random.default_rng(linalg.check_integer("seed", seed, 0))
+    seed = linalg.check_integer("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     bits_arr = rng.integers(0, 2, size=n_rounds)
 
     dists = _strategy_distributions(params, strategy)

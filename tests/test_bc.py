@@ -320,6 +320,14 @@ def test_params_validation():
         bc.BcParams(2, 3.9, PI6)
     with pytest.raises(ValueError, match=r"m must be an integer, got 1\.5"):
         bc.sweep(PI6, [1.5], [2.2])
+    # the closed forms take m through the same check
+    for mixture in (bc.mixture_fidelity, bc.mixture_trace_distance):
+        with pytest.raises(ValueError, match=r"m must be an integer, got 2\.5"):
+            mixture(2.5, PI6)
+        with pytest.raises(ValueError, match="m must be an integer, got True"):
+            mixture(True, PI6)
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            mixture(0, PI6)
     params = bc.BcParams(2.0, np.int64(3), PI6)
     assert (params.m, params.n) == (2, 3) and type(params.m) is int and type(params.n) is int
 

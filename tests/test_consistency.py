@@ -146,9 +146,9 @@ def test_stacked_evaluation_independent_of_stack():
     dims = (2, 3, 2)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, cons._n_params(dims)))
-    stacked = cons._Batch(x, dims, cons.FULL_CONFIG)
+    stacked = cons._Batch(*cons._decode(x, dims), cons.FULL_CONFIG)
     for j in range(x.shape[0]):
-        alone = cons._Batch(x[j : j + 1], dims, cons.FULL_CONFIG)
+        alone = cons._Batch(*cons._decode(x[j : j + 1], dims), cons.FULL_CONFIG)
         for b in (0, 1):
             for fam, v in stacked.per_bit[b].items():
                 assert v[j].tobytes() == alone.per_bit[b][fam][0].tobytes(), (j, b, fam)
@@ -212,13 +212,15 @@ def test_usd_witness_feasible_when_bob_info_dropped():
     assert rep.bob_info is None
 
 
-def test_usd_witness_embeds_in_larger_b():
-    rep = cons.residual(cons.usd_witness(dims=(2, 3, 2)), cons.drop("bob_info"))
+@pytest.mark.parametrize("dims", [(1, 2, 1), (2, 3, 2), (3, 4, 2)])
+def test_usd_witness_embeds_in_larger_b(dims):
+    rep = cons.residual(cons.usd_witness(dims=dims), cons.drop("bob_info"))
     assert rep.total <= 1e-12
 
 
-def test_steerable_witness_components():
-    rep = cons.residual(cons.steerable_witness())
+@pytest.mark.parametrize("dims", [(2, 3, 1), (2, 3, 2), (4, 5, 3)])
+def test_steerable_witness_components(dims):
+    rep = cons.residual(cons.steerable_witness(dims))
     assert rep.half_bit[0] < 1e-12 and rep.half_bit[1] < 1e-12
     assert rep.half_hash[0] < 1e-12 and rep.half_hash[1] < 1e-12
     assert rep.wrong_bit[0] < 1e-12 and rep.wrong_bit[1] < 1e-12
@@ -450,7 +452,7 @@ def test_objective_matches_residual_exactly(dims, config):
     slow = _candidate_objective(dims, config)
     x = rng.standard_normal((4, cons._n_params(dims)))
     x[1, : bounds[0][1]] = 0.0  # psi0 of norm 0 decodes to the first basis vector
-    batch = cons._Batch(x, dims, config)
+    batch = cons._Batch(*cons._decode(x, dims), config)
     assert [v.hex() for v in batch.total] == [slow(row).hex() for row in x]
     zero_rows = 0
     for k in range(45):
@@ -591,6 +593,10 @@ def test_fractional_dims_and_counts_are_refused():
             lambda: cons.search((2, 2.5, 2), restarts=1, max_iters=1),
             lambda: cons.usd_witness(dims=(2, 2.5, 2)),
             lambda: cons.steerable_witness(dims=(2, 2.5, 2)),
+            lambda: cons.candidate_from_vector(np.zeros(77), (2, 2.5, 2)),
+        ],
+        r"dims\[0\] must be >= 1": [
+            lambda: cons.candidate_from_vector(np.zeros(24), (0, 2, 2)),
         ],
         r"dims\[0\] must be an integer, got 2\.5": [
             lambda: cons.TripartiteCandidate((2.5, 2, 2), usd.psi0, usd.psi1, usd.povm),

@@ -241,5 +241,9 @@ def test_simulate_argument_errors():
         ot.simulate_rounds(math.pi / 6, 10, seed=None)
     assert ot.simulate_rounds(math.pi / 6, 3.0, seed=4).counts == \
         ot.simulate_rounds(math.pi / 6, 3, seed=4).counts
+    # the seed is stored as the int the generator was built from
+    for seed in (3.0, np.int64(3)):
+        sim = ot.simulate_rounds(math.pi / 6, 3, seed=seed)
+        assert sim.seed == 3 and type(sim.seed) is int
     with pytest.raises(ValueError):
         ot.simulate_rounds(math.pi / 6, 10, strategy="nope")
