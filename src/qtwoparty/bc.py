@@ -111,7 +111,8 @@ def build_w(params: BcParams, bit: int) -> np.ndarray:
     Dense, so refused above ``linalg.DEFAULT_DIM_CAP``; the test suite's
     oracle for ``compute_f`` and ``compute_d``.
     """
-    if bit not in (0, 1):
+    bit = linalg.check_integer("bit", bit, 0)
+    if bit > 1:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     if 2 ** (params.m * params.n) > linalg.DEFAULT_DIM_CAP:
         raise linalg.DimensionCapError(

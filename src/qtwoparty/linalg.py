@@ -1,9 +1,8 @@
 """Dense linear algebra on small Hilbert spaces.
 
 The protocol modules share the primitives here: the integer check
-``check_integer`` that every count and seed goes through, Hermitian
-spectral decomposition, the pure-state check, the measurement carrier
-``Povm`` and the trace distance
+``check_integer`` that every count and seed goes through, the pure-state
+check, the measurement carrier ``Povm`` and the trace distance
 
     D(x, y) = (1/2) Tr|x - y|
 
@@ -31,7 +30,6 @@ DEFAULT_DIM_CAP = 4096
 # Invariant tolerances for the operator carriers.
 HERMITICITY_ATOL = 1e-10
 PSD_EIG_TOL = 1e-9
-EIG_HERMITICITY_ATOL = 1e-8
 PURE_NORM_ATOL = 1e-12
 POVM_COMPLETENESS_ATOL = 1e-10
 
@@ -88,19 +86,6 @@ def projector(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a state vector."""
     psi = np.asarray(psi)
     return np.outer(psi, psi.conj())
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
-
-    Rejects input whose hermiticity defect exceeds ``EIG_HERMITICITY_ATOL``.
-    """
-    m = _as_square(m, "matrix")
-    dev = hermiticity_defect(m)
-    if dev > EIG_HERMITICITY_ATOL:
-        raise ValueError(f"matrix not Hermitian within {EIG_HERMITICITY_ATOL}: defect {dev:.3e}")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -17,7 +17,8 @@ honest play. The protocol is only *partially* secure:
 
 All reported probabilities come from the actual operators (matrix elements
 and spectra); the closed forms above are reserved for cross-checks in the
-test suite.
+test suite. Every play style's per-bit outcome distributions come from one
+table, ``_strategy_distributions``, which ``simulate_rounds`` samples.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ def make_usd_povm(params: OtParams | float) -> linalg.Povm:
 def honest_distribution(params: OtParams | float, bit: int) -> dict[str, float]:
     """Born-rule outcome probabilities when both parties follow the protocol."""
     params = _coerce(params)
-    if bit not in (0, 1):
+    bit = linalg.check_integer("bit", bit, 0)
+    if bit > 1:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    psi = make_states(params)[bit]
-    return make_usd_povm(params).probabilities(linalg.projector(psi))
+    return _strategy_distributions(params, "honest")[bit]
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,8 @@ def alice_cheat_hash_prob(params: OtParams | float) -> AliceCheat:
     """
     params = _coerce(params)
     ehash = make_usd_povm(params).effect(HASH)
-    p = float(ehash[0, 0].real)
-    w, v = linalg.hermitian_eig(ehash)
-    return AliceCheat(hash_prob=p, optimal_state=v[:, 0])
+    _, v = np.linalg.eigh(ehash)
+    return AliceCheat(hash_prob=float(ehash[0, 0].real), optimal_state=v[:, -1])
 
 
 def helstrom_povm(params: OtParams | float) -> linalg.Povm:
@@ -142,9 +142,9 @@ def helstrom_povm(params: OtParams | float) -> linalg.Povm:
     params = _coerce(params)
     psi0, psi1 = make_states(params)
     delta = linalg.projector(psi0) - linalg.projector(psi1)
-    w, v = linalg.hermitian_eig(delta)
+    w, v = np.linalg.eigh(delta)
     pos = v[:, w > 0]
-    guess0 = pos @ pos.conj().T if pos.size else np.zeros_like(delta)
+    guess0 = pos @ pos.conj().T
     return linalg.Povm(((BIT0, guess0), (BIT1, np.eye(2) - guess0)))
 
 
@@ -195,7 +195,7 @@ class OtSimulation:
         """Pooled outcome frequencies over all rounds."""
         out = {}
         for label in OUTCOME_LABELS:
-            out[label] = sum(self.counts[b].get(label, 0) for b in (0, 1)) / self.n_rounds
+            out[label] = sum(self.counts[b][label] for b in (0, 1)) / self.n_rounds
         return out
 
     def four_sigma(self, label: str) -> float:
@@ -203,31 +203,26 @@ class OtSimulation:
 
         Uses the bit-averaged analytic probability (bits are drawn 50/50).
         """
-        p = 0.5 * (self.expected[0].get(label, 0.0) + self.expected[1].get(label, 0.0))
+        p = 0.5 * (self.expected[0][label] + self.expected[1][label])
         return 4.0 * math.sqrt(max(p * (1 - p), 1e-300) / self.n_rounds)
 
 
 def _strategy_distributions(params: OtParams, strategy: str) -> dict[int, dict[str, float]]:
-    """Per-bit outcome distributions for each play style, from the operators."""
-    povm = make_usd_povm(params)
-    psi0, psi1 = make_states(params)
-    if strategy == "honest":
-        return {
-            0: povm.probabilities(linalg.projector(psi0)),
-            1: povm.probabilities(linalg.projector(psi1)),
-        }
+    """Per-bit outcome distributions for each play style, from the operators.
+
+    Keys run bit0, bit1, hash; the receiver's two-outcome guess gives hash 0.0.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    states = make_states(params)
     if strategy == "alice_cheats":
         # the sender ignores her bit and sends |0> to force the hash outcome
-        zero = linalg.projector(np.array([1.0, 0.0]))
-        dist = povm.probabilities(zero)
-        return {0: dist, 1: dict(dist)}
-    if strategy == "bob_cheats":
-        guess = helstrom_povm(params)
-        return {
-            0: {**guess.probabilities(linalg.projector(psi0)), HASH: 0.0},
-            1: {**guess.probabilities(linalg.projector(psi1)), HASH: 0.0},
-        }
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        states = (np.array([1.0, 0.0]),) * 2
+    povm = helstrom_povm(params) if strategy == "bob_cheats" else make_usd_povm(params)
+    return {
+        b: {**dict.fromkeys(OUTCOME_LABELS, 0.0), **povm.probabilities(linalg.projector(psi))}
+        for b, psi in enumerate(states)
+    }
 
 
 def simulate_rounds(
@@ -240,43 +235,27 @@ def simulate_rounds(
     """Monte-Carlo rounds of the protocol under one play style.
 
     Each round draws the transferred bit uniformly and samples the
-    measurement outcome from the exact per-bit distribution. Deterministic
-    per seed; one private generator per call.
+    measurement outcome from the exact per-bit distribution (all bits, then
+    one ``choice`` per bit). Deterministic per seed; one private generator.
     """
     params = _coerce(params)
     n_rounds = linalg.check_integer("n_rounds", n_rounds, 1)
     seed = linalg.check_integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    bits_arr = rng.integers(0, 2, size=n_rounds)
-
     dists = _strategy_distributions(params, strategy)
-    probs = {
-        b: np.array([max(dists[b].get(lab, 0.0), 0.0) for lab in OUTCOME_LABELS])
-        for b in (0, 1)
-    }
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=n_rounds)
+    outcome = np.empty(n_rounds, dtype=int)
     for b in (0, 1):
-        probs[b] = probs[b] / probs[b].sum()
-
-    outcome_idx = np.empty(n_rounds, dtype=int)
-    for b in (0, 1):
-        positions = np.flatnonzero(bits_arr == b)
-        if positions.size:
-            outcome_idx[positions] = rng.choice(len(OUTCOME_LABELS), size=positions.size, p=probs[b])
-
-    counts = {
-        b: {
-            lab: int(((bits_arr == b) & (outcome_idx == i)).sum())
-            for i, lab in enumerate(OUTCOME_LABELS)
-        }
-        for b in (0, 1)
-    }
-
+        probs = np.maximum(list(dists[b].values()), 0.0)
+        rounds = np.flatnonzero(bits == b)
+        outcome[rounds] = rng.choice(len(OUTCOME_LABELS), size=rounds.size, p=probs / probs.sum())
+    tally = np.bincount(3 * bits + outcome, minlength=6).reshape(2, 3)
     return OtSimulation(
         params=params,
         strategy=strategy,
         n_rounds=n_rounds,
         seed=seed,
-        counts=counts,
-        bit_counts={b: int((bits_arr == b).sum()) for b in (0, 1)},
+        counts={b: dict(zip(OUTCOME_LABELS, map(int, tally[b]))) for b in (0, 1)},
+        bit_counts={b: int(tally[b].sum()) for b in (0, 1)},
         expected=dists,
     )

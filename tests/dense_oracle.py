@@ -8,6 +8,7 @@ through the general-purpose routines here, and compare:
     tensor composition   tensor_product, tensor_power
     partial trace        partial_trace
     fidelity             F(a, b) = Tr|sqrt(a) sqrt(b)|
+    parity factors       parity_factor, with W_bit = F F^T
     density checks       check_density
     POVM check           assert_povm
     seeded random states random_pure, random_density
@@ -18,8 +19,13 @@ the left factor varies slowest in the row index, matching ``numpy.kron``.
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import reduce
+
 import numpy as np
 
+from qtwoparty import ot
 from qtwoparty.linalg import (
     DEFAULT_DIM_CAP,
     HERMITICITY_ATOL,
@@ -178,6 +184,25 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     )
     f = float(np.sqrt(w).sum())
     return float(min(max(f, 0.0), 1.0))
+
+
+def parity_factor(m: int, n: int, theta: float, bit: int) -> np.ndarray:
+    """F with W_bit = F F^T for the commitment's N-fold parity mixture.
+
+    The columns of the single-string factor are the product states of the
+    2^(M-1) M-bit strings of parity ``bit``, scaled by 2^(-(M-1)/2); the
+    N-fold power is its ``kron`` power, so F is 2^(MN) x 2^((M-1)N). Then
+    F(W_0, W_1) = ||F_0^T F_1||_1 (polar decomposition), an r_0 x r_1
+    singular-value problem in place of a 2^(MN)-dimensional eigenproblem.
+    """
+    states = ot.make_states(theta)
+    columns = [
+        reduce(np.kron, (states[b] for b in s))
+        for s in itertools.product((0, 1), repeat=m)
+        if sum(s) % 2 == bit
+    ]
+    single = np.stack(columns, axis=1) / math.sqrt(len(columns))
+    return reduce(np.kron, [single] * n)
 
 
 def random_pure(dim: int, seed) -> np.ndarray:

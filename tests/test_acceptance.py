@@ -109,7 +109,8 @@ def test_03_commitment_exact_grid():
         f = bc.compute_f(params)
         w0 = bc.build_w(params, 0)
         w1 = bc.build_w(params, 1)
-        direct = oracle.fidelity(w0, w1)
+        f0, f1 = (oracle.parity_factor(m, n, PI6, bit) for bit in (0, 1))
+        direct = np.linalg.norm(f0.T @ f1, "nuc")
         d = linalg.trace_distance(w0, w1)
         assert abs(f - direct) <= 1e-8, (m, n)
         assert f + d >= 1 - 1e-9, (m, n)

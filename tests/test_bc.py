@@ -65,7 +65,7 @@ def test_mixture_m2_even_two_terms():
 def test_mixture_m3_odd_trace_and_rank():
     mix = _mixture(3, PI6, 1)
     assert abs(np.trace(mix) - 1.0) < 1e-12
-    w, _ = linalg.hermitian_eig(mix)
+    w = np.linalg.eigvalsh(mix)
     assert int((w > 1e-12).sum()) <= 4
 
 
@@ -163,6 +163,31 @@ def test_build_w_pure_for_m1():
 def test_build_w_cap_error():
     with pytest.raises(linalg.DimensionCapError):
         bc.build_w(bc.BcParams(4, 4, PI6), 0)
+
+
+@pytest.mark.parametrize("bit", [1.0, np.int64(1)])
+def test_build_w_integral_bit_is_bit_one(bit):
+    params = bc.BcParams(2, 1, PI6)
+    assert np.array_equal(bc.build_w(params, bit), bc.build_w(params, 1))
+
+
+@pytest.mark.parametrize("bit", [True, 2, "1"])
+def test_build_w_refuses_bit(bit):
+    with pytest.raises(ValueError, match=r"^bit must be"):
+        bc.build_w(bc.BcParams(2, 1, PI6), bit)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 11) for n in range(1, 10 // m + 1)]
+)
+def test_parity_factor_fidelity_matches_dense_oracle(m, n):
+    # the factored fidelity test_03 uses, against the dense one where it is cheap
+    params = bc.BcParams(m, n, PI6)
+    w0, w1 = bc.build_w(params, 0), bc.build_w(params, 1)
+    f0, f1 = (oracle.parity_factor(m, n, PI6, bit) for bit in (0, 1))
+    assert np.abs(f0 @ f0.T - w0).max() < 1e-12
+    assert np.abs(f1 @ f1.T - w1).max() < 1e-12
+    assert abs(np.linalg.norm(f0.T @ f1, "nuc") - oracle.fidelity(w0, w1)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

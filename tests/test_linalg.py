@@ -158,36 +158,6 @@ def test_check_integer_accepts_integral_values_only():
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
-# ---------------------------------------------------------------------------
-
-
-def test_hermitian_eig_diag():
-    w, v = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [3.0, 2.0, 1.0])
-
-
-def test_hermitian_eig_exchange():
-    w, _ = linalg.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [1.0, -1.0])
-
-
-def test_hermitian_eig_reconstruction():
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    h = (g + g.conj().T) / 2
-    w, v = linalg.hermitian_eig(h)
-    assert np.abs((v * w) @ v.conj().T - h).max() < 1e-9 * 8
-    assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-9
-    assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
 # trace distance and fidelity
 # ---------------------------------------------------------------------------
 
@@ -401,11 +371,11 @@ def test_fidelity_multiplicativity():
 
 
 def test_trace_distance_unitary_invariance():
-    # unitary frames from hermitian_eig of random Hermitian matrices
+    # unitary frames from the eigenvectors of random Hermitian matrices
     rng = np.random.default_rng(11)
     for k in range(25):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        _, u = linalg.hermitian_eig((g + g.conj().T) / 2)
+        _, u = np.linalg.eigh((g + g.conj().T) / 2)
         a = oracle.random_density(4, (4, k))
         b = oracle.random_density(4, (5, k))
         lhs = linalg.trace_distance(u @ a @ u.conj().T, u @ b @ u.conj().T)

@@ -110,6 +110,17 @@ def test_honest_distribution_born_rule_oracle():
             assert abs(dist[ot.HASH] - math.cos(2 * theta)) < 1e-10
 
 
+@pytest.mark.parametrize("bit", [1.0, np.int64(1)])
+def test_honest_distribution_integral_bit_is_bit_one(bit):
+    assert ot.honest_distribution(math.pi / 6, bit) == ot.honest_distribution(math.pi / 6, 1)
+
+
+@pytest.mark.parametrize("bit", [True, 2, "1"])
+def test_honest_distribution_refuses_bit(bit):
+    with pytest.raises(ValueError, match=r"^bit must be"):
+        ot.honest_distribution(math.pi / 6, bit)
+
+
 def test_alice_cheat_closed_form():
     cheat = ot.alice_cheat_hash_prob(math.pi / 6)
     assert abs(cheat.hash_prob - 2.0 / 3.0) < 1e-12
@@ -228,6 +239,43 @@ def test_simulate_determinism_and_honest_never_wrong():
     assert a.counts == b.counts
     assert a.counts[0][ot.BIT1] == 0
     assert a.counts[1][ot.BIT0] == 0
+
+
+def _born_row(theta, strategy, bit):
+    """One row of the outcome table by <psi|E|psi>, from the operators directly."""
+    psi = np.array([1.0, 0.0]) if strategy == "alice_cheats" else ot.make_states(theta)[bit]
+    povm = ot.helstrom_povm(theta) if strategy == "bob_cheats" else ot.make_usd_povm(theta)
+    return {
+        label: float(np.real(np.vdot(psi, povm.effect(label) @ psi))) if label in povm.labels else 0.0
+        for label in ot.OUTCOME_LABELS
+    }
+
+
+@pytest.mark.parametrize("strategy", ot.STRATEGIES)
+def test_simulate_counts_match_a_drawing_loop(strategy):
+    # the documented draws, re-drawn from the seed and tallied one round at a time
+    theta = math.pi / 6
+    for seed in range(5):
+        for n in (1, 7, 10**4):
+            sim = ot.simulate_rounds(theta, n, strategy=strategy, seed=seed)
+            rng = np.random.default_rng(seed)
+            bits = rng.integers(0, 2, size=n)
+            outcome = {}
+            for b in (0, 1):
+                rounds = [i for i in range(n) if bits[i] == b]
+                # a Born probability that rounds below zero is sampled as zero
+                p = np.array([max(sim.expected[b][label], 0.0) for label in ot.OUTCOME_LABELS])
+                outcome.update(zip(rounds, rng.choice(3, size=len(rounds), p=p / p.sum())))
+            counts = {b: dict.fromkeys(ot.OUTCOME_LABELS, 0) for b in (0, 1)}
+            bit_counts = {0: 0, 1: 0}
+            for i in range(n):
+                counts[int(bits[i])][ot.OUTCOME_LABELS[outcome[i]]] += 1
+                bit_counts[int(bits[i])] += 1
+            assert sim.counts == counts and sim.bit_counts == bit_counts
+            for b in (0, 1):
+                assert list(sim.counts[b]) == list(sim.expected[b]) == list(ot.OUTCOME_LABELS)
+                born = _born_row(theta, strategy, b)
+                assert all(abs(sim.expected[b][label] - born[label]) < 1e-12 for label in born)
 
 
 def test_simulate_argument_errors():
