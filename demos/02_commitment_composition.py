@@ -4,9 +4,10 @@ Classically, committing through N strings of M transferred bits each drives
 both cheat probabilities (N q^M for the receiver, p^N for the sender) to
 zero. Quantumly the sender can keep her string choices in superposition and
 steer the commitment later; the receiver can measure the parity of
-everything jointly. The resulting quantum cheat probabilities (1 + f^2)/2
-and (1 + d)/2 obey f + d >= 1 on every row: they cannot both approach the
-ideal 1/2.
+everything jointly. The sender's steering succeeds with probability
+(1 + f)/2 (committing honestly and switching later gets only (1 + f^2)/2),
+the receiver's parity guess with (1 + d)/2, and f + d >= 1 on every row:
+the two sum to at least 3/2, so they cannot both approach the ideal 1/2.
 """
 
 import numpy as np
@@ -16,14 +17,19 @@ from qtwoparty import bc
 theta = np.pi / 6
 
 print("exact sweep at theta = pi/6 (every M*N within the exact cap):")
-header = f"{'M':>3} {'N':>3} {'f':>10} {'d':>10} {'f+d':>10} {'alice_q':>10} {'bob_q':>10} {'alice_cl':>10} {'bob_cl':>10}"
+header = (f"{'M':>3} {'N':>3} {'f':>10} {'d':>10} {'f+d':>10} {'alice_st':>10} {'alice_q':>10} "
+          f"{'bob_q':>10} {'alice_cl':>10} {'bob_cl':>10}")
 print(header)
-for rep in bc.sweep(theta, range(1, 5), range(1, 4)):
+reports = bc.sweep(theta, range(1, 5), range(1, 4))
+for rep in reports:
     print(
         f"{rep.params.m:>3} {rep.params.n:>3} {rep.f:>10.6f} {rep.d.value:>10.6f} "
-        f"{rep.f_plus_d:>10.6f} {rep.alice_quantum:>10.6f} {rep.bob_quantum:>10.6f} "
-        f"{rep.classical.alice:>10.6f} {rep.classical.bob:>10.6f}"
+        f"{rep.f_plus_d:>10.6f} {rep.alice_steer:>10.6f} {rep.alice_quantum:>10.6f} "
+        f"{rep.bob_quantum:>10.6f} {rep.classical.alice:>10.6f} {rep.classical.bob:>10.6f}"
     )
+margin = min(reports, key=lambda rep: rep.alice_steer + rep.bob_quantum)
+print(f"\nsmallest alice_st + bob_q - 3/2 = {margin.alice_steer + margin.bob_quantum - 1.5:.6f}"
+      f" at (M, N) = ({margin.params.m}, {margin.params.n})")
 
 print("\nevery row satisfies f + d >= 1: the commitment is never simultaneously")
 print("binding and concealing, no matter how M and N are chosen.")
@@ -32,7 +38,8 @@ print("\nthe composition-failure exhibit, (M, N) = (60, 6):")
 rep = bc.cheat_report(bc.BcParams(60, 6, theta))
 print(f"  classical intuition:  sender cheats with prob {rep.classical.alice:.4f},")
 print(f"                        receiver with prob {rep.classical.bob:.4f}  (both < 0.1)")
-print(f"  quantum reality:      sender unveils her chosen bit with prob {rep.alice_quantum:.4f}")
+print(f"  quantum reality:      sender unveils her chosen bit with prob {rep.alice_steer:.4f}")
+print(f"                        ({rep.alice_quantum:.4f} if she commits honestly and switches later)")
 print(f"                        (f = {rep.f:.6f} via fidelity multiplicativity;")
 print(f"                        d bracketed in [{rep.d.lo:.6f}, {rep.d.hi:.6f}])")
 

@@ -13,34 +13,10 @@ Four capabilities, one per module:
 
 :mod:`qtwoparty.linalg` supplies the shared integer check, spectral and
 POVM helpers and the trace distance, and :mod:`qtwoparty.cli` the
-manifest-backed command-line interface.
+manifest-backed command-line interface. The modules are the API: each
+name is imported from the module that defines it.
 """
 
 __version__ = "0.1.0"
 
 from . import bc, consistency, linalg, ot, qkd
-from .bc import BcParams, cheat_report, sweep
-from .consistency import TripartiteCandidate, residual, search
-from .linalg import trace_distance
-from .ot import OtParams, partial_security
-from .qkd import QkdConfig, simulate
-
-__all__ = [
-    "__version__",
-    "bc",
-    "consistency",
-    "linalg",
-    "ot",
-    "qkd",
-    "BcParams",
-    "cheat_report",
-    "sweep",
-    "TripartiteCandidate",
-    "residual",
-    "search",
-    "trace_distance",
-    "OtParams",
-    "partial_security",
-    "QkdConfig",
-    "simulate",
-]

@@ -9,11 +9,13 @@ the receiver holding one of
     W_0 = rho_even^(x)N        W_1 = rho_odd^(x)N
 
 where rho_even / rho_odd are equal mixtures of the even / odd parity tensor
-products of the two signal states. The committer then unveils the bit of
-her choice with probability (1 + f^2)/2 for f = F(W_0, W_1), while a
-receiver measuring parity jointly guesses the commitment with probability
-(1 + d)/2 for d = D(W_0, W_1). For this strategy pair f + d >= 1 for every
-(M, N, theta): the two failure modes cannot both be driven to zero.
+products of the two signal states. For f = F(W_0, W_1) the committer
+unveils the bit of her choice with probability (1 + f)/2 by steering to the
+midpoint of Uhlmann-aligned purifications (``alice_steer``), or (1 + f^2)/2
+by committing honestly and switching later (``alice_quantum``). A receiver
+measuring parity jointly guesses the commitment with probability (1 + d)/2
+for d = D(W_0, W_1). Since f + d >= 1 for every (M, N, theta), the two
+failure modes cannot both be driven to zero.
 
 Fidelity is multiplicative under tensor products, so f = F(rho_E, rho_O)^N;
 the single-string fidelity is evaluated exactly for any M by reducing the
@@ -277,8 +279,13 @@ class BcCheatReport:
     params: BcParams
     f: float
     d: TraceDistanceBound
-    alice_quantum: float      # (1 + f^2)/2
+    alice_quantum: float      # (1 + f^2)/2, commit then switch
     classical: ClassicalBounds
+
+    @property
+    def alice_steer(self) -> float:
+        """(1 + f)/2, the committer's best: steering to the Uhlmann midpoint."""
+        return 0.5 * (1.0 + self.f)
 
     @property
     def bob_quantum(self) -> float:

@@ -46,10 +46,6 @@ EXIT_SENTINEL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    """Bad arguments detected after parsing; maps to exit status 2."""
-
-
 def parse_angle(text: str) -> float:
     """Angle in radians; a 'deg' suffix converts from degrees."""
     s = text.strip().lower()
@@ -117,7 +113,7 @@ def write_manifest(subcommand: str, parameters: dict, seed, outputs: list[str]) 
 def run_ot_analyze(params: dict) -> int:
     grid = [ot.OtParams(t) for t in params["thetas"]]
     if not grid:
-        raise UsageError("the theta grid is empty; pass --theta and/or --grid")
+        raise ValueError("the theta grid is empty; pass --theta and/or --grid")
     rows = []
     for p in grid:
         sec = ot.partial_security(p)
@@ -149,10 +145,10 @@ def run_bc_analyze(params: dict) -> int:
     m_lo, m_hi = params["m_range"]
     n_lo, n_hi = params["n_range"]
     if m_lo < 1 or n_lo < 1 or m_hi < m_lo or n_hi < n_lo:
-        raise UsageError("ranges must satisfy 1 <= lo <= hi")
+        raise ValueError("ranges must satisfy 1 <= lo <= hi")
     exact_cap = linalg.check_integer("exact_cap", params["exact_cap"], 0)
     if not params["interval"] and m_hi * n_hi > exact_cap:
-        raise UsageError(
+        raise ValueError(
             f"M*N up to {m_hi * n_hi} exceeds the exact-computation cap {exact_cap}; "
             "pass --interval to emit rigorous interval rows instead"
         )
@@ -255,7 +251,7 @@ def _read_arg(action, key: str, value, alternative: str = ""):
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         pass
     what = f"one of {list(action.choices)}" if action.choices else _TYPE_NAMES[action.type]
-    raise UsageError(f"{key} must be {what}{alternative}, got {value!r}")
+    raise ValueError(f"{key} must be {what}{alternative}, got {value!r}")
 
 
 def _read_back(action, key: str, given: dict):
@@ -276,7 +272,7 @@ def _read_back(action, key: str, given: dict):
         if isinstance(value, list) and (len(value) == n if fixed else len(value) >= (n == "+")):
             return [_read_arg(action, f"{key}[{i}]", v) for i, v in enumerate(value)]
         what = f"a list of {n} values" if fixed else "a non-empty list" if n == "+" else "a list"
-    raise UsageError(f"{key} must be {what}, got {value!r}")
+    raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
 def replay(parser: argparse.ArgumentParser, manifest_path: str) -> int:
@@ -284,13 +280,13 @@ def replay(parser: argparse.ArgumentParser, manifest_path: str) -> int:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
-        raise UsageError("the manifest is not a JSON object")
+        raise ValueError("the manifest is not a JSON object")
     sub = manifest.get("subcommand")
     if not isinstance(sub, str) or sub not in RUNNERS:
-        raise UsageError(f"manifest names unknown subcommand {sub!r}")
+        raise ValueError(f"manifest names unknown subcommand {sub!r}")
     params, seed = manifest.get("parameters"), manifest.get("seed")
     if not isinstance(params, dict):
-        raise UsageError("the manifest's parameters are not a JSON object")
+        raise ValueError("the manifest's parameters are not a JSON object")
     # undo _reshape: a table run records --seed only as the top-level seed (any other
     # run's is checked against its parameters' below), and ot-analyze --theta as thetas
     given = {"seed": seed, **params}
@@ -300,10 +296,10 @@ def replay(parser: argparse.ArgumentParser, manifest_path: str) -> int:
               for a in subparsers.choices[sub]._actions if a.default is not argparse.SUPPRESS}
     recorded_seed = _reshape(sub, parsed)
     if parsed.keys() != params.keys():
-        raise UsageError(f"{sub} manifest parameters: missing {sorted(parsed.keys() - params)}, "
+        raise ValueError(f"{sub} manifest parameters: missing {sorted(parsed.keys() - params)}, "
                          f"unexpected {sorted(params.keys() - parsed)}")
     if json.dumps(seed) != json.dumps(recorded_seed):
-        raise UsageError(f"seed must be the parameters' seed {recorded_seed!r}, got {seed!r}")
+        raise ValueError(f"seed must be the parameters' seed {recorded_seed!r}, got {seed!r}")
     return run_with_manifest(sub, parsed, seed)
 
 
@@ -379,9 +375,9 @@ def _grid_thetas(grid) -> list[float]:
     try:
         start, stop, count = parse_angle(grid[0]), parse_angle(grid[1]), int(grid[2])
     except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise UsageError(f"--grid: {exc}") from None
+        raise ValueError(f"--grid: {exc}") from None
     if count < 1:
-        raise UsageError("grid COUNT must be >= 1")
+        raise ValueError("grid COUNT must be >= 1")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)

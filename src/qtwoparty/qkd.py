@@ -30,8 +30,9 @@ key's column values, and decodes or writes columns from the two.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,24 +168,39 @@ class TrialData:
 class QkdRunStats:
     """Post-selected statistics of one run.
 
-    Correlators, their standard errors and the marginals are computed over
-    coincident trials only. ``chsh_value``/``chsh_stderr`` combine settings
-    0 and 1 on each side with sign pattern +,-,+,+ (see ``chsh``) and are
-    None when either side has fewer than two settings.
-    ``eve_knowledge_fraction`` is None for honest runs.
+    A run gives the coincident trials' cell counts, their correlators with
+    standard errors, the two plus-fractions, and ``eve_knowledge_fraction``
+    (None for honest runs). The other four values are derived from those in
+    ``__post_init__``, so they are not init arguments and ``replace`` derives
+    them again: ``n_coincident`` is the sum of ``cell_counts``,
+    ``coincidence_rate`` is that over the config's ``n_pairs``, and
+    ``chsh_value``/``chsh_stderr`` are ``chsh`` of the stats, which combines
+    settings 0 and 1 on each side with sign pattern +,-,+,+. Both are None
+    when either side has fewer than two settings or a CHSH cell is empty.
     """
 
     config: QkdConfig
-    n_coincident: int
-    coincidence_rate: float
     cell_counts: np.ndarray
     correlators: np.ndarray
     correlator_stderr: np.ndarray
-    chsh_value: float | None
-    chsh_stderr: float | None
     alice_plus_fraction: float
     bob_plus_fraction: float
     eve_knowledge_fraction: float | None
+    n_coincident: int = field(init=False)
+    coincidence_rate: float = field(init=False)
+    chsh_value: float | None = field(init=False)
+    chsh_stderr: float | None = field(init=False)
+
+    def __post_init__(self):
+        n_coin = int(self.cell_counts.sum())
+        object.__setattr__(self, "n_coincident", n_coin)
+        object.__setattr__(self, "coincidence_rate", n_coin / self.config.n_pairs)
+        s = se = None
+        if min(self.cell_counts.shape) >= 2:
+            with contextlib.suppress(InsufficientDataError):
+                s, se = chsh(self)
+        object.__setattr__(self, "chsh_value", s)
+        object.__setattr__(self, "chsh_stderr", se)
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,23 +335,13 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     stats = QkdRunStats(
         config=config,
-        n_coincident=n_coin,
-        coincidence_rate=n_coin / n,
         cell_counts=cell_counts,
         correlators=correlators,
         correlator_stderr=stderr,
-        chsh_value=None,
-        chsh_stderr=None,
         alice_plus_fraction=alice_plus,
         bob_plus_fraction=bob_plus,
         eve_knowledge_fraction=eve_fraction,
     )
-    if na >= 2 and nb >= 2:
-        try:
-            s, se = chsh(stats)
-        except InsufficientDataError:
-            s = se = None
-        stats = replace(stats, chsh_value=s, chsh_stderr=se)
 
     trials = None
     if keep_trials:

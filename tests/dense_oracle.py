@@ -9,6 +9,8 @@ through the general-purpose routines here, and compare:
     partial trace        partial_trace
     fidelity             F(a, b) = Tr|sqrt(a) sqrt(b)|
     parity factors       parity_factor, with W_bit = F F^T
+    factored distance    parity_trace_distance, from the parity factors
+    steering certificate steering_certificate, from the parity factors
     density checks       check_density
     POVM check           assert_povm
     seeded random states random_pure, random_density
@@ -203,6 +205,35 @@ def parity_factor(m: int, n: int, theta: float, bit: int) -> np.ndarray:
     ]
     single = np.stack(columns, axis=1) / math.sqrt(len(columns))
     return reduce(np.kron, [single] * n)
+
+
+def parity_trace_distance(f0: np.ndarray, f1: np.ndarray) -> float:
+    """D(W_0, W_1) from the parity factors, W_b = F_b F_b^T.
+
+    With A = [F_0 F_1] = QR (reduced) and J = diag(I, -I), W_0 - W_1 =
+    A J A^T = Q (R J R^T) Q^T, and Q has orthonormal columns, so the nonzero
+    spectrum of W_0 - W_1 is that of the symmetric R J R^T. Its size is
+    r_0 + r_1 = 2^((M-1)N+1), below 2^(MN) whenever N >= 2.
+    """
+    r = np.linalg.qr(np.hstack([f0, f1]), mode="r")
+    j = np.concatenate([np.ones(f0.shape[1]), -np.ones(f1.shape[1])])
+    return 0.5 * float(np.abs(np.linalg.eigvalsh((r * j) @ r.T)).sum())
+
+
+def steering_certificate(f0: np.ndarray, f1: np.ndarray) -> tuple[float, float]:
+    """|<phi|psi_b>|^2 for b = 0, 1: the steering committer's unveil probabilities.
+
+    Each factor is a purification of its W_b, psi_b = vec(F_b), with the
+    committer holding the column index. The SVD F_0^T F_1 = U S V^T gives
+    the Uhlmann rotation: psi_1 = vec(F_1 V U^T) still purifies W_1, and
+    <psi_0|psi_1> = Tr S = F(W_0, W_1). The committer prepares phi, the
+    normalised psi_0 + psi_1, so each overlap squared is (1 + F)/2.
+    """
+    u, _, vt = np.linalg.svd(f0.T @ f1)
+    psi = (f0.ravel(), (f1 @ vt.T @ u.T).ravel())
+    phi = psi[0] + psi[1]
+    phi /= np.linalg.norm(phi)
+    return tuple(float(phi @ p) ** 2 for p in psi)
 
 
 def random_pure(dim: int, seed) -> np.ndarray:

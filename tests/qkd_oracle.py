@@ -12,7 +12,7 @@ the seven names that ``qkd.TrialData`` decodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,8 @@ from qtwoparty.qkd import (
     ATTACK_DEMON,
     ATTACK_NONE,
     NO_DETECTION,
-    InsufficientDataError,
     QkdConfig,
     QkdRunStats,
-    chsh,
 )
 
 
@@ -111,23 +109,13 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     stats = QkdRunStats(
         config=config,
-        n_coincident=n_coin,
-        coincidence_rate=n_coin / n,
         cell_counts=cell_counts,
         correlators=correlators,
         correlator_stderr=stderr,
-        chsh_value=None,
-        chsh_stderr=None,
         alice_plus_fraction=alice_plus,
         bob_plus_fraction=bob_plus,
         eve_knowledge_fraction=eve_fraction,
     )
-    if na >= 2 and nb >= 2:
-        try:
-            s, se = chsh(stats)
-        except InsufficientDataError:
-            s = se = None
-        stats = replace(stats, chsh_value=s, chsh_stderr=se)
 
     trials = None
     if keep_trials:

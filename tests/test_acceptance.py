@@ -1,9 +1,8 @@
 """Acceptance gate: one numbered check per criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
-lines. Criterion 3 is marked ``slow``; ``-m "not slow"`` leaves it out
-while iterating. Criteria 6 and 6s run their 200-restart searches in about
-10 s and 4 s on 2 cores, so they run in every lane.
+lines. Every criterion runs on every push: the longest, 3 and 6, take
+about 15-20 s each on 2 cores, and 6s about 7 s.
 
 Criterion 6 is the feasibility evidence: with all five constraint families
 the search at dims (2, 2, 2) stays well away from zero, and dropping
@@ -25,7 +24,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qtwoparty import bc, cli, consistency as cons, linalg, ot, qkd
 
@@ -99,7 +97,6 @@ def test_02_cheat_closed_forms_and_certificate():
     _report(2, True, f"cheat probabilities match closed forms; |0> is optimal ({elapsed:.2f}s)")
 
 
-@pytest.mark.slow
 def test_03_commitment_exact_grid():
     t0 = time.time()
     pairs = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
@@ -107,11 +104,12 @@ def test_03_commitment_exact_grid():
     for m, n in pairs:
         params = bc.BcParams(m, n, PI6)
         f = bc.compute_f(params)
-        w0 = bc.build_w(params, 0)
-        w1 = bc.build_w(params, 1)
         f0, f1 = (oracle.parity_factor(m, n, PI6, bit) for bit in (0, 1))
         direct = np.linalg.norm(f0.T @ f1, "nuc")
-        d = linalg.trace_distance(w0, w1)
+        if n == 1:
+            d = linalg.trace_distance(bc.build_w(params, 0), bc.build_w(params, 1))
+        else:
+            d = oracle.parity_trace_distance(f0, f1)
         assert abs(f - direct) <= 1e-8, (m, n)
         assert f + d >= 1 - 1e-9, (m, n)
         packaged = bc.compute_d(params)

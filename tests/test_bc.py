@@ -190,6 +190,29 @@ def test_parity_factor_fidelity_matches_dense_oracle(m, n):
     assert abs(np.linalg.norm(f0.T @ f1, "nuc") - oracle.fidelity(w0, w1)) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 11) for n in range(2, 10 // m + 1)]
+)
+def test_parity_trace_distance_matches_dense_oracle(m, n):
+    # the factored trace distance test_03 uses at N >= 2, against the dense one
+    params = bc.BcParams(m, n, PI6)
+    f0, f1 = (oracle.parity_factor(m, n, PI6, bit) for bit in (0, 1))
+    dense = linalg.trace_distance(bc.build_w(params, 0), bc.build_w(params, 1))
+    assert abs(oracle.parity_trace_distance(f0, f1) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(1, 11) for n in range(1, 10 // m + 1)]
+)
+def test_steering_certificate_reaches_alice_steer(m, n):
+    # the Uhlmann-midpoint strategy unveils either bit with (1 + f)/2
+    for theta in (0.1, PI6, 0.7, math.pi / 4):
+        rep = bc.cheat_report(bc.BcParams(m, n, theta))
+        f0, f1 = (oracle.parity_factor(m, n, theta, bit) for bit in (0, 1))
+        for p in oracle.steering_certificate(f0, f1):
+            assert abs(p - rep.alice_steer) <= 1e-12, (theta, p, rep.alice_steer)
+
+
 # ---------------------------------------------------------------------------
 # f and d
 # ---------------------------------------------------------------------------

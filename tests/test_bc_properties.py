@@ -38,3 +38,14 @@ def test_d_inside_fuchs_van_de_graaf_bracket(row, theta):
     d = bc.compute_d(params).value
     assert 1 - f <= d + 1e-9
     assert f * f + d * d <= 1 + 1e-9
+
+
+@deterministic
+@given(grid_rows, angles)
+def test_steering_and_parity_cheats_sum_to_at_least_three_halves(row, theta):
+    # (1 + f)/2 + (1 + d)/2 >= 3/2 is f + d >= 1 in cheat probabilities, and
+    # steering beats committing honestly and switching later: f >= f^2
+    rep = bc.cheat_report(bc.BcParams(*row, theta))
+    assert rep.d.exact
+    assert rep.alice_steer + rep.bob_quantum >= 1.5 - 1e-12
+    assert rep.alice_steer >= rep.alice_quantum

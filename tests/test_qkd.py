@@ -145,13 +145,9 @@ def _stats_with_correlators(e, counts=10_000):
     cfg = qkd.QkdConfig(n_pairs=counts, **CHSH_KW)
     return qkd.QkdRunStats(
         config=cfg,
-        n_coincident=counts,
-        coincidence_rate=1.0,
         cell_counts=np.full(e.shape, counts // e.size, dtype=int),
         correlators=e,
         correlator_stderr=np.zeros_like(e),
-        chsh_value=None,
-        chsh_stderr=None,
         alice_plus_fraction=0.5,
         bob_plus_fraction=0.5,
         eve_knowledge_fraction=None,
@@ -171,11 +167,66 @@ def test_chsh_quantum_cells():
 
 def test_chsh_empty_cell_is_an_error():
     stats = _stats_with_correlators([[1.0, 1.0], [1.0, 1.0]])
-    hollow = qkd.QkdRunStats(
-        **{**stats.__dict__, "cell_counts": np.array([[5, 5], [5, 0]])}
-    )
+    hollow = replace(stats, cell_counts=np.array([[5, 5], [5, 0]]))
     with pytest.raises(qkd.InsufficientDataError):
         qkd.chsh(hollow)
+    # the stats themselves report no CHSH pair
+    assert hollow.chsh_value is None and hollow.chsh_stderr is None
+
+
+# ---------------------------------------------------------------------------
+# derived values: the count, the rate and the CHSH pair come from the cells
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n_pairs=5_000, alice_settings=(0.0,), bob_settings=CHSH_KW["bob_settings"]),
+        dict(n_pairs=5_000, alice_settings=CHSH_KW["alice_settings"], bob_settings=(0.1,)),
+        dict(n_pairs=3, channel_transmission_honest=0.01, bob_detector_eff=0.01, **CHSH_KW),
+    ],
+    ids=["one-alice-setting", "one-bob-setting", "2x2-no-coincidences"],
+)
+def test_chsh_pair_is_none_without_a_full_chsh_table(kw):
+    stats, _ = qkd.simulate(qkd.QkdConfig(**kw))
+    if kw["n_pairs"] == 3:
+        assert stats.n_coincident == 0
+    assert stats.chsh_value is None and stats.chsh_stderr is None
+
+
+def test_derived_values_of_a_3x4_run():
+    config = qkd.QkdConfig(
+        n_pairs=50_000, alice_settings=(0.0, math.pi / 4, 0.3),
+        bob_settings=(*CHSH_KW["bob_settings"], 0.0, 2.0), seed=5,
+    )
+    stats, _ = qkd.simulate(config)
+    assert stats.cell_counts.shape == (3, 4)
+    assert (stats.chsh_value, stats.chsh_stderr) == qkd.chsh(stats)
+    assert stats.n_coincident == stats.cell_counts.sum()
+    assert stats.coincidence_rate.hex() == (stats.n_coincident / config.n_pairs).hex()
+
+
+@pytest.mark.parametrize("name", ["n_coincident", "coincidence_rate", "chsh_value", "chsh_stderr"])
+def test_derived_values_are_not_init_arguments(name):
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=1_000, seed=1, **CHSH_KW))
+    given = {f.name: getattr(stats, f.name) for f in fields(stats) if f.init}
+    with pytest.raises(TypeError, match=name):
+        qkd.QkdRunStats(**{**given, name: 1.0})
+
+
+def test_replace_derives_the_values_again():
+    stats, _ = qkd.simulate(qkd.QkdConfig(n_pairs=20_000, seed=1, **CHSH_KW))
+    counts = 2 * stats.cell_counts
+    doubled = replace(stats, cell_counts=counts, correlators=-stats.correlators)
+    assert doubled.n_coincident == 2 * stats.n_coincident
+    assert doubled.coincidence_rate == 2 * stats.n_coincident / stats.config.n_pairs
+    assert (doubled.chsh_value, doubled.chsh_stderr) == (-stats.chsh_value, stats.chsh_stderr)
+    counts = counts.copy()
+    counts[0, 1] = 0
+    hollow = replace(doubled, cell_counts=counts)
+    assert hollow.n_coincident == counts.sum() < doubled.n_coincident
+    assert hollow.chsh_value is None and hollow.chsh_stderr is None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +280,7 @@ def test_simulated_rates_match_analytic():
 def test_single_setting_run_has_no_default_chsh():
     config = qkd.QkdConfig(n_pairs=5_000, alice_settings=(0.0,), bob_settings=(0.1,))
     stats, _ = qkd.simulate(config)
-    assert stats.chsh_value is None
+    assert stats.chsh_value is None and stats.chsh_stderr is None
 
 
 def test_simulate_returns_trials_only_when_kept():
@@ -369,7 +420,6 @@ def _add_at_stats_json(stats, trials) -> str:
     """``stats`` re-tallied from the trials by ``np.add.at`` and masked means, as JSON text."""
     na, nb = stats.cell_counts.shape
     coin = trials.coincident
-    n_coin = int(coin.sum())
     counts = np.zeros((na, nb), dtype=int)
     sums = np.zeros((na, nb), dtype=float)
     if coin.any():
@@ -383,25 +433,17 @@ def _add_at_stats_json(stats, trials) -> str:
         )
 
     def fraction(hits):
-        return float(hits[coin].mean()) if n_coin else math.nan
+        return float(hits[coin].mean()) if coin.any() else math.nan
 
     eve = None
     if trials.eve_outcome is not None:
         eve = fraction(trials.bob_outcome == trials.eve_outcome)
     expected = replace(
-        stats, n_coincident=n_coin, coincidence_rate=n_coin / coin.size,
-        cell_counts=counts, correlators=corr, correlator_stderr=stderr,
-        chsh_value=None, chsh_stderr=None,
+        stats, cell_counts=counts, correlators=corr, correlator_stderr=stderr,
         alice_plus_fraction=fraction(trials.alice_outcome > 0),
         bob_plus_fraction=fraction(trials.bob_outcome > 0),
         eve_knowledge_fraction=eve,
     )
-    if na >= 2 and nb >= 2:
-        try:
-            s, se = qkd.chsh(expected)
-        except qkd.InsufficientDataError:
-            s = se = None
-        expected = replace(expected, chsh_value=s, chsh_stderr=se)
     return json.dumps(expected.to_json_dict())
 
 
