@@ -511,7 +511,11 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     the probes a descent of one restart alone would make: one where +step
     improved, else two, plus one for the starting point. Each probe's value
     is the float ``residual`` gives for its decoded candidate, so every
-    restart follows the path it would follow alone.
+    restart follows the path it would follow alone. The one known exception
+    is dims (1, 2, 1): there the alice_blind einsum sums a candidate's terms
+    in an order that depends on the stack's size, so a stacked value can
+    differ from ``residual``'s in its last bits and a restart's path from its
+    path alone (tests/test_consistency.py marks those cases xfail).
 
     Returns the final points and, per restart, the best value and the
     evaluation and sweep counts.

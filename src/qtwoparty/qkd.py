@@ -18,14 +18,18 @@ filter is driven entirely by the receiver's arm.
 
 A run is reproducible from its config and seed: ``simulate`` draws n
 values per column from one generator, column after column in one fixed
-order (see its docstring), and that order is the contract that trial CSVs
-and recorded statistics rest on. A trial's key holds its draws in mixed
-radix, in that order: one byte at the default settings. Every column is
-drawn and folded into the keys in ``CHUNK_ROWS`` slices, so the key array
-is the only full-length array of a run. The statistics are one count over
-the keys, so every cell count and +-1 sum is an exact integer. A kept
-trial is its key: ``TrialData`` holds the key array and one table of each
-key's column values, and decodes or writes columns from the two.
+order (see its docstring), and that order is the contract that trial
+CSVs and recorded statistics rest on. Each value is made from the PCG64
+raw stream by numpy's own recipe, which ``_RawDraws`` states: Lemire's
+bounded draw on 32-bit halves of raw words for settings and outcomes,
+and one raw word shifted right by 11 for each uniform. A trial's key
+holds its draws in mixed radix, in that order: one byte at the default
+settings. Every column is drawn and folded into the keys in
+``CHUNK_ROWS`` slices, so the key array is the only full-length array of
+a run. The statistics are one count over the keys, so every cell count
+and +-1 sum is an exact integer. A kept trial is its key: ``TrialData``
+holds the key array and one table of each key's column values, and
+decodes or writes columns from the two.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ NO_DETECTION = 0
 
 # trials per slice of the streamed pass in ``simulate``, and rows per block of
 # ``TrialData.write_csv``
-CHUNK_ROWS = 1 << 16
+CHUNK_ROWS = 1 << 14
 
 # fills the byte matrix around each value's characters; dropped on output by
 # bytes.translate, which deletes NUL bytes, so it must stay 0
@@ -54,6 +58,62 @@ _PAD = 0
 
 class InsufficientDataError(ValueError):
     """A requested statistic has an empty cell."""
+
+
+class _RawDraws:
+    """numpy's ``Generator`` draws made from PCG64 raw words, by numpy's own recipe.
+
+    ``integers(high, size)`` gives ``integers(0, high, size, dtype=np.uint32)``
+    by Lemire's bounded draw (ACM TOMACS 29(1), 3 (2019)), and
+    ``below(limit(p))`` gives ``random(size) < p``. ``half`` holds a word's
+    unused high half until the next bounded draw, as ``next_uint32``'s
+    buffer does; the bit generator's own buffer is neither read nor filled.
+    """
+
+    def __init__(self, bit_generator):
+        self.raw = bit_generator.random_raw
+        self.half = np.empty(0, dtype=np.uint32)
+
+    def integers(self, high: int, size: int) -> np.ndarray:
+        """``size`` draws in [0, high), as uint64."""
+        if high == 1 or not size:  # numpy draws nothing for a single value
+            return np.zeros(size, dtype=np.uint64)
+        # a half is rejected where the low word of half * high falls below this;
+        # 0 exactly for powers of two
+        reject_below = (2**32 - high) % high
+        parts = []
+        while size:
+            # the fewest words that can give ``size`` draws; "<u8" then "<u4"
+            # reads each word's low half first on any byte order
+            halves = self.raw((size - self.half.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+            if self.half.size:
+                halves = np.concatenate((self.half, halves))
+            taken, stop = halves[:size], size
+            # uint32 products wrap to their low words
+            if reject_below and (taken * np.uint32(high) < reject_below).any():
+                kept = np.flatnonzero(halves * np.uint32(high) >= reject_below)[:size]
+                taken = halves[kept]
+                stop = kept[-1] + 1 if kept.size == size else halves.size
+            # a half after the draw's last one waits
+            self.half = halves[stop:].copy()
+            # the high word of the 64-bit product; dtype= widens it under both
+            # numpy 1.x's and 2.x's promotion rules
+            taken = np.multiply(taken, high, dtype=np.uint64)
+            taken >>= np.uint64(32)
+            parts.append(taken)
+            size -= taken.size
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @staticmethod
+    def limit(p):
+        """``ceil(p * 2**53)`` as uint64: ``random()`` is ``(w >> 11) * 2**-53``."""
+        return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+
+    def below(self, limits: np.ndarray) -> np.ndarray:
+        """Whether each of ``limits.size`` uniforms falls below its probability."""
+        words = self.raw(limits.size)
+        words >>= np.uint64(11)
+        return words < limits
 
 
 @dataclass(frozen=True)
@@ -231,16 +291,26 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     uniformly drawn setting, and the engineered signal registers at the
     receiver only on matching settings, through the replaced channel.
 
-    Deterministic per (config, seed): one private generator per call. Its
-    draws are the reproducibility contract: n of each column, column after
-    column in this order: the sender's settings, the receiver's settings,
-    the sender's outcomes, the interceptor's settings (attack path only),
-    the agreement uniforms and the registration uniforms. A trial's partner
-    outcome agrees with the sender's when its agreement uniform falls below
-    (1 + E) / 2, and the receiver registers when his registration uniform
-    falls below the registration probability. On the attack path the
-    receiver registers only the interceptor's signal and reads her outcome,
-    so every coincident outcome is hers.
+    Deterministic per (config, seed): one private PCG64 generator per call,
+    seeded through ``SeedSequence`` as ``np.random.default_rng`` seeds it.
+    Its draws are the reproducibility contract: n of each column, column
+    after column in this order: the sender's settings, the receiver's
+    settings, the sender's outcomes, the interceptor's settings (attack path
+    only), the agreement uniforms and the registration uniforms. A trial's
+    partner outcome agrees with the sender's when its agreement uniform
+    falls below (1 + E) / 2, and the receiver registers when his
+    registration uniform falls below the registration probability. On the
+    attack path the receiver registers only the interceptor's signal and
+    reads her outcome, so every coincident outcome is hers. Each draw is made
+    from the generator's raw 64-bit words by ``_RawDraws``, numpy's own
+    recipe for ``integers(0, h, dtype=np.uint32)`` and ``random()``: a
+    setting or outcome is Lemire's bounded draw on one 32-bit half of a
+    word, low half first, with numpy's rejection step, and a word's unused
+    high half waits for the next integer column; a uniform is one whole word
+    ``w``, ``(w >> 11) * 2**-53``, compared as the integer ``w >> 11``
+    against ``ceil(p * 2**53)``. So the bytes rest on ``SeedSequence``
+    seeding and the PCG64 raw stream alone, which numpy's compatibility
+    policy fixes, and on no ``Generator`` method.
 
     A trial's key holds those draws in that order, in mixed radix
     (na, nb, 2[, nb], 2, 2): the integer draws as drawn, then agree and
@@ -251,13 +321,12 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     only full-length array of a run, with trials kept or not; the
     statistics are one count over it. Each column is drawn in
     ``CHUNK_ROWS`` slices and folded into the keys slice by slice, so the
-    keys drawn so far pick each uniform's threshold. The slices leave the
-    draws as they are: the integer draws are uint32, which takes the same
-    bounded 32-bit draw per value as numpy's default int64, the unused half
-    of a 64-bit word waits in the bit generator, and each uniform takes one
-    whole 64-bit word, so a column's slices match one full-length call.
+    keys drawn so far pick each uniform's limit. The slices leave the draws
+    as they are: the waiting half carries a column's halves across slices,
+    and each uniform takes one whole word, so a column's slices match one
+    full-length draw.
     """
-    rng = np.random.default_rng(config.seed)
+    draws = _RawDraws(np.random.default_rng(config.seed).bit_generator)
     n = config.n_pairs
     a_angles = np.array(config.alice_settings)
     b_angles = np.array(config.bob_settings)
@@ -279,30 +348,23 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     # uniform is never below 0.0
     t = config.channel_transmission_eve if demon else config.channel_transmission_honest
     p_register = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
-    # a uniform column's threshold per key drawn before it, which is the key with
-    # every later digit 0: every 4th key for agree, every 2nd for coincident;
-    # copied once, as take copies a strided table on every call
-    thresholds = [None] * (len(radix) - 2) + [
-        np.ascontiguousarray(p_agree[a_of, partner_of][::4]), np.ascontiguousarray(p_register[::2])]
+    # a uniform column's limit per key drawn before it, which is the key with
+    # every later digit 0: every 4th key for agree, every 2nd for coincident
+    limits = [None] * (len(radix) - 2) + [
+        draws.limit(p_agree[a_of, partner_of][::4]), draws.limit(p_register[::2])]
 
     key = np.zeros(n, dtype=np.min_scalar_type(a_of.size - 1))
-    rows = min(n, CHUNK_ROWS)
-    uniform, threshold, below = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
-    for high, per_prefix in zip(radix, thresholds):
+    for high, per_prefix in zip(radix, limits):
         for lo in range(0, n, CHUNK_ROWS):
             digits = key[lo:lo + CHUNK_ROWS]
-            m = digits.size
             if per_prefix is None:
-                # uint32 takes the same bounded 32-bit draw per value as the default int64
-                draw = rng.integers(0, high, size=m, dtype=np.uint32)
+                draw = draws.integers(high, digits.size)
             else:
-                # every prefix lies in its table, so mode="clip" only spares take
-                # its bounds check and the buffering of ``out``
-                draw = np.less(rng.random(out=uniform[:m]),
-                               per_prefix.take(digits, out=threshold[:m], mode="clip"), out=below[:m])
+                # every prefix lies in its table, so mode="clip" only spares take its bounds check
+                draw = draws.below(per_prefix.take(digits, mode="clip"))
             digits *= high
             np.add(digits, draw, out=digits, dtype=key.dtype)
-            del draw  # the last slice of uint32 draws would outlive its column
+            del draw  # the last slice of draws would outlive its column
     tally = np.zeros(a_of.size, dtype=np.int64)
     for lo in range(0, n, CHUNK_ROWS):  # bincount copies its input to intp
         tally += np.bincount(key[lo:lo + CHUNK_ROWS], minlength=tally.size)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +53,29 @@ def test_steering_and_parity_cheats_sum_to_at_least_three_halves(row, theta):
     assert rep.d.exact
     assert rep.alice_steer + rep.bob_quantum >= 1.5 - 1e-12
     assert rep.alice_steer >= rep.alice_quantum
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # under this repository's warning filters a false property fails its own
+    # test and prints its falsifying example; it does not end the pytest run
+    # with an INTERNALERROR. The warning filtered for this is libcst's, which
+    # hypothesis imports for its report only where libcst is installed.
+    pytest.importorskip("libcst")
+    (tmp_path / "test_false_property.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @given(st.integers(0, 10))
+        def test_below_five(x):
+            assert x < 5
+    """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_false_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout, run.stdout

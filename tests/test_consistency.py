@@ -141,6 +141,42 @@ def test_stacked_forms_match_per_matrix_bytes(db):
             assert bob[j].hex() == want.hex(), (dims, j)
 
 
+# At (1, 2, 1) the alice_blind einsum "kbc,kacu,kebw->kauew" sums each
+# candidate's four terms in an order that depends on the stack: alone it
+# adds the two terms of each row of E and then the two row sums, and in a
+# stack it adds the four terms one by one, so some candidates differ in the
+# last bits. No form found keeps the (2, 2, 2) pins and fixes it. The order
+# comes from numpy's einsum inner loops, chosen by CPU features and numpy
+# version, so a build where the sums agree may pass these cases.
+STACK_DEPENDENT_121 = pytest.mark.xfail(
+    strict=False, reason="the (1, 2, 1) einsum's summation order depends on the stack's size")
+
+
+@pytest.mark.parametrize("dims", [
+    pytest.param((1, 2, 1), marks=STACK_DEPENDENT_121), (1, 3, 1), (1, 2, 2), (2, 2, 1)])
+def test_au_conditional_per_matrix_bytes_at_single_dims(dims):
+    da, db, du = dims
+    x = np.random.default_rng(0).standard_normal((60, cons._n_params(dims)))
+    psi3, _, effects = cons._decode(x, dims)
+    au = cons._au_conditional(psi3, effects[:, 2])
+    for j in range(x.shape[0]):
+        p = psi3[j]
+        want = np.einsum("bc,acu,ebw->auew", np.ascontiguousarray(effects[j, 2]), p, p.conj())
+        assert au[j].tobytes() == want.reshape(da * du, da * du).tobytes(), (dims, j)
+
+
+@pytest.mark.parametrize("dims", [
+    pytest.param((1, 2, 1), marks=STACK_DEPENDENT_121), (1, 3, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2)])
+def test_residual_matches_batch_totals(dims):
+    # the search's stacked totals are the floats residual gives each candidate
+    config = cons.drop("bob_info")
+    x = np.random.default_rng(0).standard_normal((60, cons._n_params(dims)))
+    batch = cons._Batch(*cons._decode(x, dims), config)
+    for j in range(x.shape[0]):
+        alone = cons.residual(cons.candidate_from_vector(x[j], dims), config).total
+        assert alone.hex() == float(batch.total[j]).hex(), (dims, j)
+
+
 def test_stacked_evaluation_independent_of_stack():
     # a candidate's family values are the same alone and inside any stack
     dims = (2, 3, 2)

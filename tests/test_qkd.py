@@ -337,9 +337,12 @@ ELEVEN_SETTINGS = tuple(k * math.pi / 22 for k in range(11))
 
 
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
+# one block or two, and four or five: the seams of the first block and of a
+# later one
 @pytest.mark.parametrize(
     "n_pairs",
-    [1, 9, 10, 11, qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, qkd.CHUNK_ROWS + 1],
+    [1, 9, 10, 11, qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, qkd.CHUNK_ROWS + 1,
+     4 * qkd.CHUNK_ROWS - 1, 4 * qkd.CHUNK_ROWS, 4 * qkd.CHUNK_ROWS + 1],
 )
 def test_write_csv_matches_csv_writer_bytes(tmp_path, attack, n_pairs):
     config = qkd.QkdConfig(n_pairs=n_pairs, attack=attack, seed=13, **CHSH_KW)
@@ -496,7 +499,7 @@ def _assert_matches_oracle(config):
 
 
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-@pytest.mark.parametrize("n_pairs", [1, 7, qkd.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_pairs", [1, 7, 4 * qkd.CHUNK_ROWS + 1])
 @pytest.mark.parametrize("visibility", [0.0, 0.37, 1.0])
 def test_simulate_matches_per_trial_oracle(attack, n_pairs, visibility):
     for na in range(1, 5):
@@ -573,6 +576,73 @@ def test_sliced_uint32_draws_equal_one_call(high):
                 assert sliced.bit_generator.state == whole.bit_generator.state, case
 
 
+# 2**31 + 1 rejects about half of its halves
+@pytest.mark.parametrize("high", [*range(1, 12), 2**31 + 1])
+def test_raw_draws_equal_uint32_draws(high):
+    # simulate's bounded draws, made from raw words, are numpy's in values, in
+    # the raw stream's position and in the half left waiting, slice by slice
+    for rows, sizes in ((1, (1, 2, 9)), (3, (3, 4, 10)), (7, (7, 8, 30)),
+                        (qkd.CHUNK_ROWS, (qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS + 1))):
+        for n in sizes:
+            for lead in (0, 1):  # one 32-bit draw first leaves half a word waiting
+                rng, raw = np.random.default_rng(high), np.random.default_rng(high)
+                draws = qkd._RawDraws(raw.bit_generator)
+                rng.integers(0, 3, size=lead, dtype=np.uint32)
+                draws.integers(3, lead)
+                want = rng.integers(0, high, size=n, dtype=np.uint32)
+                got = np.concatenate([draws.integers(high, min(rows, n - lo))
+                                      for lo in range(0, n, rows)])
+                state = rng.bit_generator.state
+                case = (np.__version__, high, rows, n, lead)
+                assert np.array_equal(got, want), case
+                assert raw.bit_generator.state["state"] == state["state"], case
+                assert draws.half.tolist() == [state["uinteger"]] * state["has_uint32"], case
+
+
+# the edges, then values that are not multiples of 2**-53
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0, 1e-300, 1 / 3,
+                               *(np.random.default_rng(21).random(3) ** 3).tolist()])
+def test_raw_draws_below_equal_uniform_draws(p):
+    rng, raw = np.random.default_rng(22), np.random.default_rng(22)
+    draws = qkd._RawDraws(raw.bit_generator)
+    limit = draws.limit(p)
+    for n in (1, 7, 1001):
+        case = (np.__version__, p.hex(), n)
+        assert np.array_equal(draws.below(np.full(n, limit)), rng.random(n) < p), case
+        assert raw.bit_generator.state == rng.bit_generator.state, case
+    # random() is k * 2**-53 for k = w >> 11, so the integer compare is exact
+    # at the values next to p
+    edge = math.ceil(math.ldexp(p, 53))
+    for k in range(max(edge - 2, 0), min(edge + 3, 2**53)):
+        assert (k < limit) == (k * 2.0**-53 < p), (np.__version__, p.hex(), k)
+
+
+def test_raw_draws_below_at_the_drawn_value():
+    # p equal to the next uniform, and one float either side of it
+    u = np.random.default_rng(24).random()
+    assert u < 0.5  # so the floats next to u are not multiples of 2**-53
+    for p in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+        draws = qkd._RawDraws(np.random.default_rng(24).bit_generator)
+        assert draws.below(np.full(1, draws.limit(p)))[0] == (u < p), (np.__version__, p.hex())
+
+
+def test_simulate_draws_from_the_raw_stream_alone(monkeypatch):
+    # the bytes rest on SeedSequence seeding and the PCG64 raw stream, so a
+    # generator without Generator's methods gives the same run
+    config = qkd.QkdConfig(n_pairs=5000, bob_settings=THREE_SETTINGS,
+                           attack=qkd.ATTACK_DEMON, seed=23)
+    want = qkd.simulate(config, keep_trials=True)
+
+    class RawStreamOnly:
+        def __init__(self, seed):
+            self.bit_generator = np.random.PCG64(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", RawStreamOnly)
+    got = qkd.simulate(config, keep_trials=True)
+    assert json.dumps(got[0].to_json_dict()) == json.dumps(want[0].to_json_dict())
+    assert got[1].key.tobytes() == want[1].key.tobytes()
+
+
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
 @pytest.mark.parametrize("na, nb", [(2, 2), (3, 4)])
 def test_key_holds_the_draws_in_draw_order(attack, na, nb):
@@ -610,7 +680,9 @@ def test_simulate_matches_oracle_across_chunk_seams(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-@pytest.mark.parametrize("n_pairs", [qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, 2 * qkd.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_pairs", [qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, 2 * qkd.CHUNK_ROWS + 1,
+                                     4 * qkd.CHUNK_ROWS - 1, 4 * qkd.CHUNK_ROWS,
+                                     8 * qkd.CHUNK_ROWS + 1])
 def test_simulate_matches_oracle_at_default_chunk_seams(attack, n_pairs):
     for na, nb in ((2, 2), (3, 4)):
         _assert_matches_oracle(qkd.QkdConfig(
@@ -635,12 +707,13 @@ def test_simulate_matches_oracle_at_wide_codes(attack):
 
 
 # A run keeps one key per trial at full length, one byte at the 2 x 2
-# settings, and one chunk of working arrays. One chunk was measured at 25 bytes
-# per row (float64 uniforms and thresholds, one bool buffer and the intp copy
-# of the keys in ``take`` and ``bincount``) on both paths; the allowance of 40
-# leaves a 60 % margin and stays below the 8 bytes per pair that a full-length
-# float64 column adds. Kept trials are that key and a table per key, so they
-# take the same bound.
+# settings, and one chunk of working arrays. One chunk was measured at 17.3
+# (honest) and 17.4 (demon) bytes per row: a uniform column's raw words and
+# integer limits, 8 bytes each, and its bool result; the intp copies of the
+# keys in ``take`` and ``bincount`` are freed before those are made. The
+# allowance of 40 leaves a 2.3x margin and stays below the 8 bytes per pair
+# that a full-length 64-bit column adds. Kept trials are that key and a table
+# per key, so they take the same bound.
 CODE_BYTES_PER_PAIR = 1
 CHUNK_BYTES_PER_ROW = 40
 
