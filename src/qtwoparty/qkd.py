@@ -47,12 +47,13 @@ ATTACK_DEMON = "demon"
 
 NO_DETECTION = 0
 
-# trials per slice of the streamed pass in ``simulate``, and rows per block of
-# ``TrialData.write_csv``
+# trials per slice of the streamed pass in ``simulate``; ``TrialData.write_csv``
+# reads it as a byte budget, a block of row text no larger than one 64-bit
+# slice column (8 * CHUNK_ROWS bytes)
 CHUNK_ROWS = 1 << 14
 
 # fills the byte matrix around each value's characters; dropped on output by
-# bytes.translate, which deletes NUL bytes, so it must stay 0
+# bytearray.translate, which deletes NUL bytes, so it must stay 0
 _PAD = 0
 
 
@@ -65,7 +66,7 @@ class _RawDraws:
 
     ``integers(high, size)`` gives ``integers(0, high, size, dtype=np.uint32)``
     by Lemire's bounded draw (ACM TOMACS 29(1), 3 (2019)), and
-    ``below(limit(p))`` gives ``random(size) < p``. ``half`` holds a word's
+    ``below(limit(p), size)`` gives ``random(size) < p``. ``half`` holds a word's
     unused high half until the next bounded draw, as ``next_uint32``'s
     buffer does; the bit generator's own buffer is neither read nor filled.
     """
@@ -109,11 +110,14 @@ class _RawDraws:
         """``ceil(p * 2**53)`` as uint64: ``random()`` is ``(w >> 11) * 2**-53``."""
         return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
-    def below(self, limits: np.ndarray) -> np.ndarray:
-        """Whether each of ``limits.size`` uniforms falls below its probability."""
-        words = self.raw(limits.size)
+    def below(self, limit, size: int) -> np.ndarray:
+        """Whether each of ``size`` uniforms falls below its probability.
+
+        ``limit`` is one uint64 limit for every uniform or one per uniform.
+        """
+        words = self.raw(size)
         words >>= np.uint64(11)
-        return words < limits
+        return words < limit
 
 
 @dataclass(frozen=True)
@@ -194,23 +198,31 @@ class TrialData:
         in CRLF, every value is a plain decimal integer (``coincident`` as 0 or
         1), and honest runs leave ``e_set`` and ``e_out`` empty. Each key's row
         text after the trial index is formatted once, into a byte table padded
-        with ``_PAD``. Rows are built ``CHUNK_ROWS`` at a time as one byte
-        matrix, the trial index's digits beside the key's row text, and the
-        pads are dropped by ``bytes.translate``, which deletes the NUL bytes
-        ``_PAD == 0`` stands for. Memory stays bounded in the number of trials.
+        with ``_PAD``. Rows are built a block at a time in one ``bytearray``,
+        viewed as a byte matrix: the trial index's digits beside the key's
+        row text. A block takes as many rows as fit in ``8 * CHUNK_ROWS``
+        bytes at the file's widest row, so it is no larger than one 64-bit
+        slice column of ``simulate``. The pads are dropped by
+        ``bytearray.translate``, which deletes the NUL bytes ``_PAD == 0``
+        stands for, with no other copy of the block. Memory stays bounded in
+        the number of trials.
         """
-        values = [[""] * len(self.table[0]) if col is None else col.astype(np.int64).tolist()
-                  for col in self.table]
+        # a generator, so the value lists are freed once the table is built
+        columns = ([""] * len(self.table[0]) if col is None else col.astype(np.int64).tolist()
+                   for col in self.table)
         # numpy's bytes dtype pads each row on the right with NUL, which is _PAD
-        suffix = np.array([("," + ",".join(map(str, row)) + "\r\n").encode() for row in zip(*values)])
+        suffix = np.array([("," + ",".join(map(str, row)) + "\r\n").encode() for row in zip(*columns)])
         suffix = suffix.view(np.uint8).reshape(suffix.size, -1)
         n = self.key.size
+        # the widest row is the last trial index's digits and the widest row text
+        block = max(1, 8 * CHUNK_ROWS // (len(str(n - 1)) + suffix.shape[1]))
         with open(path, "wb") as fh:
             fh.write(b"trial,a_set,b_set,a_out,b_out,e_set,e_out,coincident\r\n")
-            for lo in range(0, n, CHUNK_ROWS):
-                hi = min(lo + CHUNK_ROWS, n)
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
                 width = len(str(hi - 1))
-                rows = np.empty((hi - lo, width + suffix.shape[1]), dtype=np.uint8)
+                text = bytearray((hi - lo) * (width + suffix.shape[1]))
+                rows = np.frombuffer(text, dtype=np.uint8).reshape(hi - lo, -1)
                 rows[:, width:] = suffix.take(self.key[lo:hi], axis=0)
                 # the trial index, right-aligned, with pads in place of leading zeros
                 q = np.arange(lo, hi, dtype=np.min_scalar_type(hi))  # narrow divides run faster
@@ -221,7 +233,8 @@ class TrialData:
                     if j:
                         digit[q == 0] = _PAD
                     q = nxt
-                fh.write(rows.tobytes().translate(None, b"\x00"))
+                del rows, digit  # views that would keep this block's text alive into the next
+                fh.write(text.translate(None, b"\x00"))
 
 
 @dataclass(frozen=True)
@@ -321,7 +334,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     only full-length array of a run, with trials kept or not; the
     statistics are one count over it. Each column is drawn in
     ``CHUNK_ROWS`` slices and folded into the keys slice by slice, so the
-    keys drawn so far pick each uniform's limit. The slices leave the draws
+    keys drawn so far pick each uniform's limit; a column whose limits are
+    all one value, as the honest coincident column's are, compares every
+    uniform with that value and gathers none. The slices leave the draws
     as they are: the waiting half carries a column's halves across slices,
     and each uniform takes one whole word, so a column's slices match one
     full-length draw.
@@ -349,9 +364,12 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     t = config.channel_transmission_eve if demon else config.channel_transmission_honest
     p_register = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
     # a uniform column's limit per key drawn before it, which is the key with
-    # every later digit 0: every 4th key for agree, every 2nd for coincident
-    limits = [None] * (len(radix) - 2) + [
-        draws.limit(p_agree[a_of, partner_of][::4]), draws.limit(p_register[::2])]
+    # every later digit 0: every 4th key for agree, every 2nd for coincident;
+    # a table of one value, such as the honest coincident column's, is that value
+    limits = [None] * (len(radix) - 2)
+    for p in (p_agree[a_of, partner_of][::4], p_register[::2]):
+        table = draws.limit(p)
+        limits.append(table[0] if (table == table[0]).all() else table)
 
     key = np.zeros(n, dtype=np.min_scalar_type(a_of.size - 1))
     for high, per_prefix in zip(radix, limits):
@@ -359,9 +377,11 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
             digits = key[lo:lo + CHUNK_ROWS]
             if per_prefix is None:
                 draw = draws.integers(high, digits.size)
+            elif per_prefix.ndim == 0:
+                draw = draws.below(per_prefix, digits.size)
             else:
                 # every prefix lies in its table, so mode="clip" only spares take its bounds check
-                draw = draws.below(per_prefix.take(digits, mode="clip"))
+                draw = draws.below(per_prefix.take(digits, mode="clip"), digits.size)
             digits *= high
             np.add(digits, draw, out=digits, dtype=key.dtype)
             del draw  # the last slice of draws would outlive its column

@@ -336,17 +336,48 @@ def _assert_csv_matches_oracle(trials, tmp_path):
 ELEVEN_SETTINGS = tuple(k * math.pi / 22 for k in range(11))
 
 
-@pytest.mark.parametrize("attack", [qkd.ATTACK_NONE, qkd.ATTACK_DEMON])
-# one block or two, and four or five: the seams of the first block and of a
-# later one
+def _rows_at_block_seam(trials, blocks, offset):
+    """The number of trials that fills ``blocks`` of ``write_csv``'s blocks, plus ``offset``.
+
+    A block holds as many rows as fit in ``8 * CHUNK_ROWS`` bytes at the
+    file's widest row: the last trial index's digits and the widest row text
+    after the index, which is fixed by the key table. The block size depends
+    on the row count through its digits, so take the one count that agrees.
+    """
+    text = max(len("," + ",".join("" if col is None else str(int(col[k])) for col in trials.table) + "\r\n")
+               for k in range(trials.table[0].size))
+    for digits in range(1, 8):
+        n_pairs = blocks * (8 * qkd.CHUNK_ROWS // (digits + text)) + offset
+        if len(str(n_pairs - 1)) == digits:
+            return n_pairs
+    raise AssertionError((blocks, offset, text))
+
+
+# one block's rows - 1, exactly and + 1, and two blocks + 1
+BLOCK_SEAMS = {"block-1": (1, -1), "block": (1, 0), "block+1": (1, 1), "2blocks+1": (2, 1)}
+
+
+# rows where the trial index gains a digit, the seams of one slice and of
+# four, and rows whose last index reaches 10**5 or stops one short; then the
+# seams of write_csv's own blocks at the widths of the 2 x 2 demon run and the
+# honest eleven-setting run, which BLOCK_SEAMS names and the test computes
 @pytest.mark.parametrize(
-    "n_pairs",
-    [1, 9, 10, 11, qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, qkd.CHUNK_ROWS + 1,
-     4 * qkd.CHUNK_ROWS - 1, 4 * qkd.CHUNK_ROWS, 4 * qkd.CHUNK_ROWS + 1],
+    "n_pairs, attack, settings",
+    [pytest.param(n, attack, CHSH_KW, id=f"{n}-{attack}") for n in (
+        1, 9, 10, 11, qkd.CHUNK_ROWS - 1, qkd.CHUNK_ROWS, qkd.CHUNK_ROWS + 1,
+        4 * qkd.CHUNK_ROWS - 1, 4 * qkd.CHUNK_ROWS, 4 * qkd.CHUNK_ROWS + 1, 99_999, 100_000, 100_001)
+     for attack in (qkd.ATTACK_NONE, qkd.ATTACK_DEMON)]
+    + [pytest.param(seam, attack, settings, id=f"{name}-{attack}-{seam}")
+       for name, attack, settings in (
+           ("2x2", qkd.ATTACK_DEMON, CHSH_KW),
+           ("eleven", qkd.ATTACK_NONE, dict(alice_settings=ELEVEN_SETTINGS, bob_settings=ELEVEN_SETTINGS)))
+       for seam in BLOCK_SEAMS],
 )
-def test_write_csv_matches_csv_writer_bytes(tmp_path, attack, n_pairs):
-    config = qkd.QkdConfig(n_pairs=n_pairs, attack=attack, seed=13, **CHSH_KW)
-    _, trials = qkd.simulate(config, keep_trials=True)
+def test_write_csv_matches_csv_writer_bytes(tmp_path, n_pairs, attack, settings):
+    config = qkd.QkdConfig(n_pairs=1, attack=attack, seed=13, **settings)
+    if n_pairs in BLOCK_SEAMS:
+        n_pairs = _rows_at_block_seam(qkd.simulate(config, keep_trials=True)[1], *BLOCK_SEAMS[n_pairs])
+    _, trials = qkd.simulate(replace(config, n_pairs=n_pairs), keep_trials=True)
     _assert_csv_matches_oracle(trials, tmp_path)
 
 
@@ -379,11 +410,12 @@ def test_write_csv_matches_oracle_on_simulated_trials(tmp_path, monkeypatch):
         st.integers(1, 11),
         # trial indices cross from one to two and from two to three digits
         st.one_of(st.integers(1, 12), st.integers(95, 130)),
-        st.integers(1, 8),
+        # blocks of 1 to 11 rows: 8 * chunk bytes at rows of 17 to 25 bytes
+        st.integers(1, 24),
         st.integers(0, 2**32 - 1),
     )
     def check(attack, na, nb, n_pairs, chunk, seed):
-        # small chunks, so chunks of different index widths meet in one file
+        # small blocks, so blocks of different index widths meet in one file
         monkeypatch.setattr(qkd, "CHUNK_ROWS", chunk)
         config = qkd.QkdConfig(
             n_pairs=n_pairs, alice_settings=ELEVEN_SETTINGS[:na], bob_settings=ELEVEN_SETTINGS[:nb],
@@ -396,7 +428,7 @@ def test_write_csv_matches_oracle_on_simulated_trials(tmp_path, monkeypatch):
 
 
 def test_write_csv_memory_bounded_in_rows(tmp_path):
-    # rows are formatted a chunk at a time, so four chunks' worth needs no
+    # rows are formatted a block at a time, so four slices' worth needs no
     # more working memory than one
     def peak(chunks):
         config = qkd.QkdConfig(
@@ -412,6 +444,27 @@ def test_write_csv_memory_bounded_in_rows(tmp_path):
 
     one, four = peak(1), peak(4)
     assert four <= 1.25 * one, (one, four)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [qkd.QkdConfig(n_pairs=200_000, attack=qkd.ATTACK_DEMON, seed=3, **CHSH_KW),
+     qkd.QkdConfig(n_pairs=20_000, alice_settings=ELEVEN_SETTINGS, bob_settings=ELEVEN_SETTINGS, seed=4)],
+    ids=["demon-2x2", "honest-eleven"],
+)
+def test_write_csv_peak_within_three_slice_columns(tmp_path, config):
+    # a block of row text is at most one 64-bit slice column of simulate,
+    # 8 * CHUNK_ROWS bytes, and the writer holds it beside at most two
+    # more of that size: its row text gathered from the key table, then the
+    # bytes left once the pads are dropped
+    _, trials = qkd.simulate(config, keep_trials=True)
+    tracemalloc.start()
+    try:
+        trials.write_csv(tmp_path / "trials.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * qkd.CHUNK_ROWS, (peak, 3 * 8 * qkd.CHUNK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +658,14 @@ def test_raw_draws_equal_uint32_draws(high):
 def test_raw_draws_below_equal_uniform_draws(p):
     rng, raw = np.random.default_rng(22), np.random.default_rng(22)
     draws = qkd._RawDraws(raw.bit_generator)
+    # one limit for every uniform compares as a limit per uniform does
+    one = qkd._RawDraws(np.random.default_rng(22).bit_generator)
     limit = draws.limit(p)
     for n in (1, 7, 1001):
         case = (np.__version__, p.hex(), n)
-        assert np.array_equal(draws.below(np.full(n, limit)), rng.random(n) < p), case
+        want = rng.random(n) < p
+        assert np.array_equal(draws.below(np.full(n, limit), n), want), case
+        assert np.array_equal(one.below(limit, n), want), case
         assert raw.bit_generator.state == rng.bit_generator.state, case
     # random() is k * 2**-53 for k = w >> 11, so the integer compare is exact
     # at the values next to p
@@ -623,7 +680,7 @@ def test_raw_draws_below_at_the_drawn_value():
     assert u < 0.5  # so the floats next to u are not multiples of 2**-53
     for p in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
         draws = qkd._RawDraws(np.random.default_rng(24).bit_generator)
-        assert draws.below(np.full(1, draws.limit(p)))[0] == (u < p), (np.__version__, p.hex())
+        assert draws.below(draws.limit(p), 1)[0] == (u < p), (np.__version__, p.hex())
 
 
 def test_simulate_draws_from_the_raw_stream_alone(monkeypatch):
@@ -709,8 +766,12 @@ def test_simulate_matches_oracle_at_wide_codes(attack):
 # A run keeps one key per trial at full length, one byte at the 2 x 2
 # settings, and one chunk of working arrays. One chunk was measured at 17.3
 # (honest) and 17.4 (demon) bytes per row: a uniform column's raw words and
-# integer limits, 8 bytes each, and its bool result; the intp copies of the
-# keys in ``take`` and ``bincount`` are freed before those are made. The
+# gathered integer limits, 8 bytes each, and its bool result; the intp copies
+# of the keys in ``take`` and ``bincount`` are freed before those are made.
+# The honest coincident column compares its words with one limit, 9 bytes per
+# row, but the honest figure stays at 17.3, set by the agreement column's
+# gather; at visibility 0, where no honest column gathers, it is 16.4, set by
+# the bounded integer columns. The
 # allowance of 40 leaves a 2.3x margin and stays below the 8 bytes per pair
 # that a full-length 64-bit column adds. Kept trials are that key and a table
 # per key, so they take the same bound.
