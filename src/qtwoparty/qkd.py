@@ -17,24 +17,28 @@ The sender's detectors are taken as perfectly efficient so the coincidence
 filter is driven entirely by the receiver's arm.
 
 A run is reproducible from its config and seed: ``simulate`` draws n
-values per column from one generator, column after column in one fixed
+values per column from one raw stream, column after column in one fixed
 order (see its docstring), and that order is the contract that trial
 CSVs and recorded statistics rest on. Each value is made from the PCG64
 raw stream by numpy's own recipe, which ``_RawDraws`` states: Lemire's
 bounded draw on 32-bit halves of raw words for settings and outcomes,
 and one raw word shifted right by 11 for each uniform. A trial's key
 holds its draws in mixed radix, in that order: one byte at the default
-settings. Every column is drawn and folded into the keys in
-``CHUNK_ROWS`` slices, so the key array is the only full-length array of
-a run. The statistics are one count over the keys, so every cell count
-and +-1 sum is an exact integer. A kept trial is its key: ``TrialData``
-holds the key array and one table of each key's column values, and
-decodes or writes columns from the two.
+settings. A run goes one ``CHUNK_ROWS`` slice of trials at a time: the
+slice is drawn through every column, each column read from its own
+position in the raw stream, and its keys are counted and dropped. So a
+run that keeps no trials holds no full-length array, whatever its n, and
+the key array of kept trials is the only one. The statistics are one
+count over the keys, so every cell count and +-1 sum is an exact
+integer. A kept trial is its key: ``TrialData`` holds the key array and
+one table of each key's column values, and decodes or writes columns
+from the two.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,9 +51,11 @@ ATTACK_DEMON = "demon"
 
 NO_DETECTION = 0
 
-# trials per slice of the streamed pass in ``simulate``; ``TrialData.write_csv``
-# reads it as a byte budget, a block of row text no larger than one 64-bit
-# slice column (8 * CHUNK_ROWS bytes)
+# trials per slice in ``simulate``: a slice is drawn through every column, each
+# from its own position in the raw stream, and its keys are counted and dropped
+# before the next, so a run's working arrays hold one slice whatever n_pairs.
+# ``TrialData.write_csv`` reads it as a byte budget, a block of row text no
+# larger than one 64-bit slice column (8 * CHUNK_ROWS bytes)
 CHUNK_ROWS = 1 << 14
 
 # fills the byte matrix around each value's characters; dropped on output by
@@ -66,14 +72,21 @@ class _RawDraws:
 
     ``integers(high, size)`` gives ``integers(0, high, size, dtype=np.uint32)``
     by Lemire's bounded draw (ACM TOMACS 29(1), 3 (2019)), and
-    ``below(limit(p), size)`` gives ``random(size) < p``. ``half`` holds a word's
-    unused high half until the next bounded draw, as ``next_uint32``'s
-    buffer does; the bit generator's own buffer is neither read nor filled.
+    ``below(limit(p), size)`` gives ``random(size) < p``. The draws begin at
+    32-bit half ``start`` of the raw stream, each word's low half first: the
+    bit generator is advanced to that half's word, and an odd ``start`` is
+    the word's high half. ``half`` holds a word's unused high half until the
+    next bounded draw, as ``next_uint32``'s buffer does; the bit generator's
+    own buffer is neither read nor filled. ``used`` counts the halves taken
+    from ``start`` on, rejected ones included, and two per uniform.
     """
 
-    def __init__(self, bit_generator):
+    def __init__(self, bit_generator, start: int):
+        bit_generator.advance(start // 2)
         self.raw = bit_generator.random_raw
-        self.half = np.empty(0, dtype=np.uint32)
+        # one word's high half on an odd start, none on an even one
+        self.half = self.raw(start % 2).astype("<u8", copy=False).view("<u4")[1:]
+        self.used = 0
 
     def integers(self, high: int, size: int) -> np.ndarray:
         """``size`` draws in [0, high), as uint64."""
@@ -94,9 +107,11 @@ class _RawDraws:
             if reject_below and (taken * np.uint32(high) < reject_below).any():
                 kept = np.flatnonzero(halves * np.uint32(high) >= reject_below)[:size]
                 taken = halves[kept]
-                stop = kept[-1] + 1 if kept.size == size else halves.size
+                # a Python int, which a later column's start is advanced by
+                stop = int(kept[-1]) + 1 if kept.size == size else halves.size
             # a half after the draw's last one waits
             self.half = halves[stop:].copy()
+            self.used += stop
             # the high word of the 64-bit product; dtype= widens it under both
             # numpy 1.x's and 2.x's promotion rules
             taken = np.multiply(taken, high, dtype=np.uint64)
@@ -116,6 +131,7 @@ class _RawDraws:
         ``limit`` is one uint64 limit for every uniform or one per uniform.
         """
         words = self.raw(size)
+        self.used += 2 * size
         words >>= np.uint64(11)
         return words < limit
 
@@ -304,9 +320,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     uniformly drawn setting, and the engineered signal registers at the
     receiver only on matching settings, through the replaced channel.
 
-    Deterministic per (config, seed): one private PCG64 generator per call,
-    seeded through ``SeedSequence`` as ``np.random.default_rng`` seeds it.
-    Its draws are the reproducibility contract: n of each column, column
+    Deterministic per (config, seed): one PCG64 raw stream per call, seeded
+    through ``SeedSequence`` as ``np.random.default_rng`` seeds it. Its
+    draws are the reproducibility contract: n of each column, column
     after column in this order: the sender's settings, the receiver's
     settings, the sender's outcomes, the interceptor's settings (attack path
     only), the agreement uniforms and the registration uniforms. A trial's
@@ -327,21 +343,30 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
 
     A trial's key holds those draws in that order, in mixed radix
     (na, nb, 2[, nb], 2, 2): the integer draws as drawn, then agree and
-    coincident, each uniform column's outcome. ``np.unravel_index`` over
-    that radix gives each key's digits, from which the statistics and the
-    kept trials' table are read. The key is held in the narrowest unsigned
-    dtype that holds every key, one byte at 2 x 2 settings, and it is the
-    only full-length array of a run, with trials kept or not; the
-    statistics are one count over it. Each column is drawn in
-    ``CHUNK_ROWS`` slices and folded into the keys slice by slice, so the
-    keys drawn so far pick each uniform's limit; a column whose limits are
-    all one value, as the honest coincident column's are, compares every
-    uniform with that value and gathers none. The slices leave the draws
-    as they are: the waiting half carries a column's halves across slices,
-    and each uniform takes one whole word, so a column's slices match one
-    full-length draw.
+    coincident, each uniform column's outcome. The statistics are read from
+    the count of each key, shaped by that radix, and the kept trials' table
+    from each key's digits. The key is held in the narrowest unsigned
+    dtype that holds every key, one byte at 2 x 2 settings. A run goes one
+    ``CHUNK_ROWS`` slice of trials at a time: the slice is drawn through
+    every column in turn and folded into its keys, so the keys drawn so far
+    pick each uniform's limit, and its keys are counted into the tally and
+    dropped. So a run holds one slice of working arrays and no full-length
+    array, whatever n; kept trials add the key array, the only one. A
+    column whose limits are all one value, as the honest coincident
+    column's are, compares every uniform with that value and gathers none.
+
+    Each column reads the raw stream from its own position, through its own
+    generator seeded as above and moved there by ``PCG64.advance``, so its
+    slices continue one full-length draw. Integer column c starts at half
+    S_c, the halves the integer columns before it take: n for each with
+    more than one value, none for one value, and any rejected halves; an
+    odd S_c is the high half of word S_c // 2. With S the halves of all
+    integer columns, the agreement uniforms start at word ceil(S / 2) and
+    the registration uniforms n words later. A rejection shows only once
+    drawn, so a pass assumes none and counts each integer column's halves;
+    if a count differs, the pass runs again from the counted starts, at
+    most once more per integer column.
     """
-    draws = _RawDraws(np.random.default_rng(config.seed).bit_generator)
     n = config.n_pairs
     a_angles = np.array(config.alice_settings)
     b_angles = np.array(config.bob_settings)
@@ -352,42 +377,64 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     # a_plus (the sender's outcome is 2 * a_plus - 1), on the attack path the
     # interceptor's setting, then agree and coincident from the two uniform columns
     radix = (na, nb, 2, nb, 2, 2) if demon else (na, nb, 2, 2, 2)
-    a_of, b_of, a_plus_of, *rest, agree_of, coincident_of = np.unravel_index(
-        np.arange(math.prod(radix)), radix)
-    # the partner measures the sender's twin photon
-    partner_of = rest[0] if demon else b_of
+    key_dtype = np.min_scalar_type(math.prod(radix) - 1)
+    # the digit of the setting the partner measures the sender's twin photon in
+    partner = 3 if demon else 1
     # P(partner agrees with the sender) = (1 + E) / 2 per setting pair, E = V cos 2(a - b)
     p_agree = 0.5 * (1.0 + config.visibility * np.cos(2.0 * (a_angles[:, None] - b_angles)))
     # the sender always registers, so a coincidence is the receiver's registration;
     # on the attack path only where the interceptor's setting is his, and a
     # uniform is never below 0.0
     t = config.channel_transmission_eve if demon else config.channel_transmission_honest
-    p_register = np.where(partner_of == b_of, t * config.bob_detector_eff, 0.0)
-    # a uniform column's limit per key drawn before it, which is the key with
-    # every later digit 0: every 4th key for agree, every 2nd for coincident;
-    # a table of one value, such as the honest coincident column's, is that value
+    # a uniform column's limit per key drawn before it, a table over the grid
+    # of the digits before it: radix[:-2] for agree, radix[:-1] for coincident.
+    # Each grid's digits are broadcastable axes, so a probability spans only
+    # the axes it depends on until its limits fill the grid; a table of one
+    # value, such as the honest coincident column's, is that value
+    agree = np.indices(radix[:-2], sparse=True)
+    register = np.indices(radix[:-1], sparse=True)
     limits = [None] * (len(radix) - 2)
-    for p in (p_agree[a_of, partner_of][::4], p_register[::2]):
-        table = draws.limit(p)
-        limits.append(table[0] if (table == table[0]).all() else table)
+    for grid, p in ((radix[:-2], p_agree[agree[0], agree[partner]]),
+                    (radix[:-1], np.where(register[partner] == register[1],
+                                          t * config.bob_detector_eff, 0.0))):
+        table = _RawDraws.limit(p)
+        one = table.flat[0]
+        limits.append(one if (table == one).all() else np.broadcast_to(table, grid).ravel())
 
-    key = np.zeros(n, dtype=np.min_scalar_type(a_of.size - 1))
-    for high, per_prefix in zip(radix, limits):
+    key = np.empty(n, dtype=key_dtype) if keep_trials else None
+    # each integer column's halves: n where it has a choice if none is
+    # rejected, then as the last pass counted them. A pass counts right the
+    # first column and every column whose start was right, so the starts are
+    # right within one more pass per integer column; a pass that counts what
+    # it assumed drew every column from its true start
+    halves = [n if high > 1 else 0 for high in radix[:-2]]
+    while True:
+        starts = list(itertools.accumulate(halves, initial=0))
+        words = -(-starts.pop() // 2)  # the uniforms take whole words after the last half
+        starts += [2 * words, 2 * (words + n)]
+        columns = [_RawDraws(np.random.default_rng(config.seed).bit_generator, start)
+                   for start in starts]
+        tally = np.zeros(math.prod(radix), dtype=np.int64)
         for lo in range(0, n, CHUNK_ROWS):
-            digits = key[lo:lo + CHUNK_ROWS]
-            if per_prefix is None:
-                draw = draws.integers(high, digits.size)
-            elif per_prefix.ndim == 0:
-                draw = draws.below(per_prefix, digits.size)
-            else:
-                # every prefix lies in its table, so mode="clip" only spares take its bounds check
-                draw = draws.below(per_prefix.take(digits, mode="clip"), digits.size)
-            digits *= high
-            np.add(digits, draw, out=digits, dtype=key.dtype)
-            del draw  # the last slice of draws would outlive its column
-    tally = np.zeros(a_of.size, dtype=np.int64)
-    for lo in range(0, n, CHUNK_ROWS):  # bincount copies its input to intp
-        tally += np.bincount(key[lo:lo + CHUNK_ROWS], minlength=tally.size)
+            digits = np.zeros(min(CHUNK_ROWS, n - lo), dtype=key_dtype)
+            for draws, high, per_prefix in zip(columns, radix, limits):
+                if per_prefix is None:
+                    draw = draws.integers(high, digits.size)
+                elif per_prefix.ndim == 0:
+                    draw = draws.below(per_prefix, digits.size)
+                else:
+                    # every prefix lies in its table, so mode="clip" only spares take its bounds check
+                    draw = draws.below(per_prefix.take(digits, mode="clip"), digits.size)
+                digits *= high
+                np.add(digits, draw, out=digits, dtype=key_dtype)
+                del draw  # freed before the next column draws
+            tally += np.bincount(digits, minlength=tally.size)  # an intp copy of the slice
+            if keep_trials:
+                key[lo:lo + digits.size] = digits
+        counted = [draws.used for draws in columns[:-2]]
+        if counted == halves:
+            break
+        halves = counted
     # coincident trials by (a_set, b_set, a_plus, agree), over the interceptor's setting
     tally = tally.reshape(na, nb, 2, -1, 2, 2)[..., 1].sum(axis=3)
     cell_counts = tally.sum(axis=(2, 3))
@@ -428,6 +475,9 @@ def simulate(config: QkdConfig, *, keep_trials: bool = False):
     trials = None
     if keep_trials:
         # each key's columns, read from its digits
+        key_digits = np.unravel_index(np.arange(math.prod(radix)), radix)
+        a_of, b_of, a_plus_of, *_, agree_of, coincident_of = key_digits
+        partner_of = key_digits[partner]
         a_out_of = 2 * a_plus_of - 1
         partner_out_of = np.where(agree_of, a_out_of, -a_out_of)
         # the receiver reads the partner's outcome where he registers, NO_DETECTION elsewhere
