@@ -55,6 +55,13 @@ STEP_TOL = 1e-6
 SEARCH_BLOCK = 64
 SEARCH_BLOCK_BYTES = 64 << 20
 
+# Probes scored per batch call while few restarts are live, each restart
+# speculating on a window of its next coordinates; never more than the two
+# probes per restart of a full block. On two cores a two-restart (2, 2, 2)
+# search ran at about the same speed with stacks of 16 to 64 probes, and
+# took 1.7 times as long with stacks of 4, one coordinate per restart.
+PROBE_STACK = 32
+
 
 @dataclass(frozen=True)
 class ConstraintConfig:
@@ -385,7 +392,12 @@ def _decode_povms(segs: np.ndarray, db: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Best residual found over all restarts, with its breakdown."""
+    """Best residual found over all restarts, with its breakdown.
+
+    ``restart_residuals`` keeps every restart's final value, in restart
+    order, and ``to_json_dict`` does not write it. Its minimum is
+    ``best_total_residual``, first reached at ``best_restart``.
+    """
 
     dims: tuple[int, int, int]
     restarts: int
@@ -397,6 +409,7 @@ class FeasibilityReport:
     best_restart: int
     evaluations: int
     sweeps: int
+    restart_residuals: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -504,18 +517,29 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     ``STEP0`` until it falls below ``STEP_TOL``, where that restart stops.
     Step, sweep count, evaluation count and stopping are per restart.
 
-    Every live restart probes the same coordinate at once, so each batch
-    moves one segment and ``_Batch`` recomputes only that segment. The
-    +step and -step probes of a coordinate go through one batch; a -step
-    value is used only where +step did not improve. ``evaluations`` counts
-    the probes a descent of one restart alone would make: one where +step
-    improved, else two, plus one for the starting point. Each probe's value
-    is the float ``residual`` gives for its decoded candidate, so every
-    restart follows the path it would follow alone. The one known exception
-    is dims (1, 2, 1): there the alice_blind einsum sums a candidate's terms
-    in an order that depends on the stack's size, so a stacked value can
-    differ from ``residual``'s in its last bits and a restart's path from its
-    path alone (tests/test_consistency.py marks those cases xfail).
+    Within a segment each live restart speculates on a window of its next
+    ``width`` coordinates, ``PROBE_STACK // (2 * live)`` but at least one and
+    never past the 2 * ``_block_size`` probes of a full block. The +step and
+    -step probes of every window, each built from its restart's current
+    point, go through one ``_Batch.score``; ``_Batch`` recomputes only the
+    segment. Per restart, the first coordinate of the window whose +step
+    improves, or else whose -step does, is taken; the restart's next window
+    starts just past it, and the rest of the window is discarded. A window
+    without improvement moves the cursor past all of it. Once
+    ``PROBE_STACK / 2`` or more restarts are live, the window is one
+    coordinate, and all restarts probe the same coordinate at once.
+
+    ``evaluations`` counts the probes a descent of one restart alone would
+    make: two per rejected coordinate and one or two for the taken one,
+    plus one for the starting point. Every probe before a restart's taken
+    coordinate is the probe that descent makes, and each probe's value is
+    the float ``residual`` gives for its decoded candidate, so every restart
+    follows the path it would follow alone, whatever the window. The one
+    known exception is dims (1, 2, 1): there the alice_blind einsum sums a
+    candidate's terms in an order that depends on the stack's size, and so
+    on the window, so a stacked value can differ from ``residual``'s in its
+    last bits and a restart's path from its path alone
+    (tests/test_consistency.py marks those cases xfail).
 
     Returns the final points and, per restart, the best value and the
     evaluation and sweep counts.
@@ -528,32 +552,54 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     sweeps = np.zeros(count, dtype=np.int64)
     step = np.full(count, STEP0)
     live = np.arange(count)
+    stack = min(PROBE_STACK, 2 * _block_size(dims))
+    cursor = np.empty(count, dtype=np.int64)
     for _ in range(max_iters):
         if not live.size:
             break
         sweeps[live] += 1
         improved = np.zeros(count, dtype=bool)
-        m = live.size
-        rows = np.concatenate([live, live])  # the +step probes, then the -step probes
-        deltas = np.concatenate([step[live], -step[live]])
+        width = max(1, stack // (2 * live.size))
         for seg, (lo, hi) in enumerate(_segment_bounds(dims)):
-            batch.fix(seg, rows)
-            for i in range(lo, hi):
+            cursor[live] = lo
+            active = live
+            while active.size:
+                # each active restart's window: its coordinates start .. end - 1
+                start = cursor[active]
+                end = np.minimum(start + width, hi)
+                span = end - start
+                first = np.cumsum(span) - span
+                owner = np.repeat(active, span)
+                coord = np.arange(owner.size) + np.repeat(start - first, span)
+                m = owner.size
+                rows = np.concatenate([owner, owner])  # the +step probes, then the -step probes
                 probes = x[rows, lo:hi]
-                probes[:, i - lo] += deltas
+                probes[np.arange(2 * m), np.concatenate([coord, coord]) - lo] += np.concatenate(
+                    [step[owner], -step[owner]])
+                batch.fix(seg, rows)
                 vals = batch.score(probes)
-                bar = best[live] - 1e-15
+                bar = best[owner] - 1e-15
                 up = vals[:m] < bar
                 down = ~up & (vals[m:] < bar)
-                evals[live] += 2 - up
-                accepted = up | down
-                if not accepted.any():
-                    continue
-                taken = np.flatnonzero(accepted) + m * down[accepted]
-                points = live[accepted]
-                x[points, i] = probes[taken, i - lo]
-                improved[points] = True
-                batch.keep(points, taken)
+                found = up | down
+                # Integer arrays are never compared here, hence the astype(bool)
+                # filter below: on numpy 2.4.6 (x86-64) the first int64
+                # comparison faults in about 128 KiB of compiled loops that
+                # the rest of a search never runs, and peak RSS shows it.
+                # Each window's first improving coordinate, or its end:
+                hit = np.minimum(np.minimum.reduceat(np.where(found, coord, hi), first), end)
+                evals[active] += 2 * (hit - start)
+                moved = np.logical_or.reduceat(found, first)
+                cursor[active] = hit + moved
+                if moved.any():
+                    j = (first + hit - start)[moved]
+                    points = active[moved]
+                    evals[points] += 2 - up[j]
+                    taken = j + m * down[j]
+                    x[points, hit[moved]] = probes[taken, hit[moved] - lo]
+                    improved[points] = True
+                    batch.keep(points, taken)
+                active = active[(hi - cursor[active]).astype(bool)]
         stalled = live[~improved[live]]
         step[stalled] *= 0.5
         live = live[~(step[live] < STEP_TOL)]
@@ -588,10 +634,14 @@ def search(
 
     The restarts run in blocks of at most ``SEARCH_BLOCK``, each block in
     lockstep through ``_descend``, so memory does not grow with the number
-    of restarts. Restarts are independent, so blocks change no trajectory.
+    of restarts. With few restarts live, ``_descend`` scores a window of
+    each restart's next coordinates per batch call, up to ``PROBE_STACK``
+    probes. Restarts are independent, and a probe's value depends neither
+    on its block nor on its window, so neither changes a trajectory.
     ``evaluations`` and ``sweeps`` add up the per-restart counts of
     ``_descend``; ``evaluations`` counts the probes each restart would score
-    alone, not the -step probes scored beside a +step probe that improved.
+    alone, not those scored past the move a restart takes.
+    ``restart_residuals`` keeps each restart's final value.
 
     Arguments are checked here, once. The descent scores raw vectors and
     checks nothing per probe. Only the best point goes through
@@ -616,13 +666,15 @@ def search(
     best_restart = -1
     evals_total = 0
     sweeps_total = 0
+    restart_residuals = []
     for first in range(0, restarts, block):
         children = seeds.spawn(min(block, restarts - first))
         x0 = np.stack([np.random.default_rng(child).standard_normal(n) for child in children])
         x, vals, evals, sweeps = _descend(x0, dims, config, max_iters)
         evals_total += int(evals.sum())
         sweeps_total += int(sweeps.sum())
-        for k, val in enumerate(vals.tolist()):
+        restart_residuals += vals.tolist()
+        for k, val in enumerate(restart_residuals[first:]):
             if val < best_val:
                 best_val = val
                 best_x = x[k].copy()
@@ -640,4 +692,5 @@ def search(
         best_restart=best_restart,
         evaluations=evals_total,
         sweeps=sweeps_total,
+        restart_residuals=tuple(restart_residuals),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -535,19 +536,44 @@ ALICE_FOUR = (0.0, math.pi / 4, 0.3, 1.2)
 BOB_FOUR = (math.pi / 8, 3 * math.pi / 8, 0.0, 2.0)
 
 
+def _first_difference(got, ref, path="stats"):
+    """Path and values of the first JSON cell where ``got`` and ``ref`` differ, or None."""
+    if isinstance(ref, dict) and isinstance(got, dict) and got.keys() == ref.keys():
+        items = ((f"{path}.{k}", got[k], ref[k]) for k in ref)
+    elif isinstance(ref, list) and isinstance(got, list) and len(got) == len(ref):
+        items = ((f"{path}[{i}]", g, r) for i, (g, r) in enumerate(zip(got, ref)))
+    else:
+        got, ref = json.dumps(got), json.dumps(ref)
+        return None if got == ref else f"{path}: {got:.80} != {ref:.80}"
+    return next(filter(None, (_first_difference(g, r, p) for p, g, r in items)), None)
+
+
 def _assert_matches_oracle(config):
+    # digests and np.array_equal first, and on a mismatch one short line: a
+    # config with tens of thousands of settings would make pytest's diff of
+    # the JSON texts, or its repr of the config, take minutes
     stats, trials = qkd.simulate(config, keep_trials=True)
     ref_stats, ref_trials = qkd_oracle.simulate(config, keep_trials=True)
-    assert json.dumps(stats.to_json_dict()) == json.dumps(ref_stats.to_json_dict()), config
-    assert json.dumps(qkd.simulate(config)[0].to_json_dict()) == json.dumps(
-        ref_stats.to_json_dict()
-    ), config
+    run = (f"n_pairs={config.n_pairs} seed={config.seed} attack={config.attack} "
+           f"settings={len(config.alice_settings)}x{len(config.bob_settings)}")
+    ref_digest = hashlib.sha256(json.dumps(ref_stats.to_json_dict()).encode()).digest()
+    for got in (stats, qkd.simulate(config)[0]):
+        if hashlib.sha256(json.dumps(got.to_json_dict()).encode()).digest() != ref_digest:
+            where = _first_difference(got.to_json_dict(), ref_stats.to_json_dict())
+            pytest.fail(f"{run}: {where}", pytrace=False)
     for name in (f.name for f in fields(qkd_oracle.Trials)):
         got, ref = getattr(trials, name), getattr(ref_trials, name)
-        if ref is None:
-            assert got is None, (name, config)
+        if ref is None or got is None:
+            if got is not ref:
+                pytest.fail(f"{run}: {name} is {got!r:.40} against {ref!r:.40}", pytrace=False)
             continue
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, config)
+        if got.dtype != ref.dtype or got.shape != ref.shape:
+            pytest.fail(f"{run}: {name} is {got.dtype}{got.shape} against {ref.dtype}{ref.shape}",
+                        pytrace=False)
+        if not np.array_equal(got, ref):
+            i = int(np.flatnonzero(got != ref)[0])
+            pytest.fail(f"{run}: {name} first differs at trial {i}: {got[i]} != {ref[i]}",
+                        pytrace=False)
     return stats
 
 
@@ -751,14 +777,7 @@ def test_column_starts_after_a_rejection_match_oracle(side):
     rejecting = [seed for seed in range(6) if _rejects(seed, n, start)]
     assert 0 < len(rejecting) < 6, rejecting
     for seed in range(6):
-        config = qkd.QkdConfig(n_pairs=n, seed=seed, **{side: WIDE_SIDE})
-        (stats, trials), (ref_stats, ref_trials) = (
-            simulate(config, keep_trials=True) for simulate in (qkd.simulate, qkd_oracle.simulate))
-        # compared as bools: a 54161-row table would make the failure report's diff crawl
-        same = json.dumps(stats.to_json_dict()) == json.dumps(ref_stats.to_json_dict())
-        same &= all(np.array_equal(getattr(trials, f.name), getattr(ref_trials, f.name))
-                    for f in fields(qkd_oracle.Trials))
-        assert same, (side, seed, seed in rejecting)
+        _assert_matches_oracle(qkd.QkdConfig(n_pairs=n, seed=seed, **{side: WIDE_SIDE}))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
