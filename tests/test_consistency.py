@@ -541,6 +541,8 @@ def test_objective_matches_residual_exactly(dims, config):
         ((2, 2, 2), cons.drop("alice_blind"), 1, 20),
         # a full block: windows of one coordinate, as long as no restart stops
         ((1, 1, 1), cons.FULL_CONFIG, cons.SEARCH_BLOCK, 4),
+        # one-coordinate windows until fewer than 16 restarts are live, then wider
+        ((1, 1, 1), cons.FULL_CONFIG, 20, 60),
     ],
 )
 def test_descend_matches_scalar_oracle(dims, config, restarts, max_iters):
@@ -559,6 +561,8 @@ def test_descend_matches_scalar_oracle(dims, config, restarts, max_iters):
         assert x[r].tobytes() == x_r.tobytes(), r
     if (dims, restarts) == ((1, 1, 1), 5):
         assert len(set(sweeps.tolist())) > 1
+    if restarts == 20:
+        assert (sweeps < sweeps.max()).sum() > restarts - cons.PROBE_STACK // 2
 
 
 def _count_scores(monkeypatch):
