@@ -20,6 +20,14 @@ seed, to what ``main`` would record, so outputs come back byte-identically.
 Angles are radians by default; append ``deg`` for degrees (e.g. ``30deg``).
 Floats in CSV output carry 17 significant digits.
 
+Which bytes are fixed where: manifests record only the parsed parameters,
+and ``qkd-demon`` outputs rest on ``SeedSequence`` seeding, the PCG64
+stream and integer arithmetic, so both are the same on every build;
+tests/test_golden.py holds the ``qkd-demon`` digests. The ``ot-analyze``,
+``bc-analyze`` and ``ot-feasibility`` outputs are fixed per numpy/BLAS
+build only: other BLAS kernels and SIMD dispatch levels move them in their
+last bits. Their 1e-12 pins are the check across builds.
+
 Exit status: 0 on success, 1 when ``bc-analyze``'s f + d >= 1 sentinel
 fires, and 2 for any refused input. A flag that argparse rejects prints
 its usage message; a value, grid, manifest or parameter set that the CLI

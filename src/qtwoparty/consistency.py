@@ -55,11 +55,13 @@ STEP_TOL = 1e-6
 SEARCH_BLOCK = 64
 SEARCH_BLOCK_BYTES = 64 << 20
 
-# Probes scored per batch call while few restarts are live, each restart
-# speculating on a window of its next coordinates; never more than the two
-# probes per restart of a full block. On two cores a two-restart (2, 2, 2)
-# search ran at about the same speed with stacks of 16 to 64 probes, and
-# took 1.7 times as long with stacks of 4, one coordinate per restart.
+# Probes per batch call of the descent: each live restart speculates on a
+# window of its next PROBE_STACK // (2 * live) coordinates, but at least
+# one, so from PROBE_STACK / 2 live restarts on a call holds one coordinate
+# of each; never more than the two probes per restart of a full block. On
+# two cores a two-restart (2, 2, 2) search ran at about the same speed with
+# stacks of 16 to 64 probes, and took 1.7 times as long with stacks of 4,
+# one coordinate per restart.
 PROBE_STACK = 32
 
 
@@ -431,11 +433,11 @@ class _Batch:
     (K, dA, dB, dU), and the (K, 3, dB, dB) effects. It is the one place
     that scores a candidate from scratch; ``residual`` builds a stack of
     one. Holds, per point, its states and marginals, effects, per-bit
-    values, ``bob_info`` and total. ``fix`` picks a segment (0 and 1 for
-    psi0 and psi1, 2 for the POVM) and the points whose probes will move
-    it; ``score`` then recomputes only that segment for each probe, against
-    the points' cached rest, and ``keep`` makes chosen probes the new
-    points. A state move re-scores that bit's terms and ``bob_info``; a
+    values, ``bob_info`` and total. ``score`` takes a segment (0 and 1 for
+    psi0 and psi1, 2 for the POVM), the point each probe moves and the
+    probes, and recomputes only that segment for each probe, against its
+    point's cached rest; ``keep`` makes chosen probes of the last call the
+    new points. A state move re-scores that bit's terms and ``bob_info``; a
     POVM move re-scores both bits and keeps ``bob_info``.
     """
 
@@ -450,56 +452,46 @@ class _Batch:
         self.bob = _bob_info(self.parts) if self.with_bob else None
         self.total = _total(self.per_bit, self.bob, config)
 
-    def fix(self, seg: int, rows: np.ndarray) -> None:
-        """Score the next probes as moves of segment ``seg`` of the points ``rows``."""
-        self.seg = seg
+    def score(self, seg: int, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+        """Totals of the points ``rows`` with segment ``seg`` replaced by the rows of ``probes``."""
+        config = self.config
         if seg < 2:
             other = 1 - seg
-            self.fixed = (
-                self.effects[rows],
-                {f: v[rows] for f, v in self.per_bit[other].items()},
-                (None, None, self.parts[other][2][rows] if self.with_bob else None),
-            )
+            moved = _state_part(_decode_states(probes).reshape(-1, *self.dims), config)
+            other_bits = {f: v[rows] for f, v in self.per_bit[other].items()}
+            per_bit = [other_bits, other_bits]
+            per_bit[seg] = _bit_values(moved, self.effects.take(rows, 0), seg, config)
+            bob = None
+            if self.with_bob:
+                parts = [(None, None, self.parts[other][2].take(rows, 0))] * 2
+                parts[seg] = moved
+                bob = _bob_info(parts)
         else:
             # bob_info does not see the POVM
-            self.fixed = (
-                [(psi3[rows], None if rho is None else rho[rows], None)
-                 for psi3, rho, _ in self.parts],
-                self.bob[rows] if self.with_bob else None,
-            )
-
-    def score(self, probes: np.ndarray) -> np.ndarray:
-        """Totals of the fixed points with their segment replaced by the rows of ``probes``."""
-        seg, config = self.seg, self.config
-        if seg < 2:
-            effects, other_bits, other_part = self.fixed
-            moved = _state_part(_decode_states(probes).reshape(-1, *self.dims), config)
-            per_bit = [other_bits, other_bits]
-            per_bit[seg] = _bit_values(moved, effects, seg, config)
-            parts = [other_part, other_part]
-            parts[seg] = moved
-            bob = _bob_info(parts) if self.with_bob else None
-        else:
-            parts, bob = self.fixed
             moved = _decode_povms(probes, self.dims[1])
-            per_bit = [_bit_values(parts[b], moved, b, config) for b in (0, 1)]
+            per_bit = [
+                _bit_values((psi3.take(rows, 0), None if rho is None else rho.take(rows, 0), None),
+                            moved, b, config)
+                for b, (psi3, rho, _) in enumerate(self.parts)
+            ]
+            bob = self.bob[rows] if self.with_bob else None
         total = _total(per_bit, bob, config)
-        self.scored = (moved, per_bit, bob, total)
+        self.scored = (seg, moved, per_bit, bob, total)
         return total
 
     def keep(self, points: np.ndarray, taken: np.ndarray) -> None:
         """Make the last scored probes ``taken`` the new ``points``."""
-        moved, per_bit, bob, total = self.scored
+        seg, moved, per_bit, bob, total = self.scored
         self.total[points] = total[taken]
-        if self.seg < 2:
-            for a, new in zip(self.parts[self.seg], moved):
+        if seg < 2:
+            for a, new in zip(self.parts[seg], moved):
                 if a is not None:
-                    a[points] = new[taken]
-            kept_bits = (self.seg,)
+                    a[points] = new.take(taken, 0)
+            kept_bits = (seg,)
             if self.with_bob:
                 self.bob[points] = bob[taken]
         else:
-            self.effects[points] = moved[taken]
+            self.effects[points] = moved.take(taken, 0)
             kept_bits = (0, 1)
         for b in kept_bits:
             for fam, v in self.per_bit[b].items():
@@ -525,11 +517,9 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     segment. Per restart, the first coordinate of the window whose +step
     improves, or else whose -step does, is taken; the restart's next window
     starts just past it, and the rest of the window is discarded. A window
-    without improvement moves the cursor past all of it. Once
-    ``PROBE_STACK / 2`` or more restarts are live, the window is one
-    coordinate: then all live restarts probe the same coordinate at once,
-    on rows fixed once per segment and with no window bookkeeping, which
-    made a 64-restart block about 2 % slower.
+    without improvement moves the restart on past all of it. While
+    ``PROBE_STACK / 2`` or more restarts are live, each window is one
+    coordinate, so all of them probe the same coordinate in each call.
 
     ``evaluations`` counts the probes a descent of one restart alone would
     make: two per rejected coordinate and one or two for the taken one,
@@ -555,7 +545,7 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
     step = np.full(count, STEP0)
     live = np.arange(count)
     stack = min(PROBE_STACK, 2 * _block_size(dims))
-    cursor = np.empty(count, dtype=np.int64)
+    ar = np.arange(2 * max(count, stack))  # numbers the probes of a call
     for _ in range(max_iters):
         if not live.size:
             break
@@ -563,71 +553,54 @@ def _descend(x0: np.ndarray, dims: tuple[int, int, int], config: ConstraintConfi
         improved = np.zeros(count, dtype=bool)
         width = max(1, stack // (2 * live.size))
         for seg, (lo, hi) in enumerate(_segment_bounds(dims)):
+            n = hi - lo
+            xs = x[:, lo:hi]
             # each live restart tries every coordinate of the segment once:
             # two probes, less the -step one where +step is taken
-            evals[live] += 2 * (hi - lo)
-            if width == 1:
-                # one coordinate for all live restarts at a time, on rows
-                # fixed once per segment
-                m = live.size
-                rows = np.concatenate([live, live])  # the +step probes, then the -step probes
-                deltas = np.concatenate([step[live], -step[live]])
-                batch.fix(seg, rows)
-                for i in range(lo, hi):
-                    probes = x[rows, lo:hi]
-                    probes[:, i - lo] += deltas
-                    vals = batch.score(probes)
-                    bar = best[live] - 1e-15
-                    up = vals[:m] < bar
-                    down = ~up & (vals[m:] < bar)
-                    accepted = up | down
-                    if accepted.any():
-                        j = np.flatnonzero(accepted)
-                        points = live[j]
-                        evals[points] -= up[j]
-                        taken = j + m * down[j]
-                        x[points, i] = probes[taken, i - lo]
-                        improved[points] = True
-                        batch.keep(points, taken)
-                continue
-            cursor[live] = lo
+            evals[live] += 2 * n
             active = live
+            start = np.zeros(live.size, dtype=np.int64)
             while active.size:
-                # each active restart's window: its coordinates start .. end - 1
-                start = cursor[active]
-                end = np.minimum(start + width, hi)
-                span = end - start
-                first = np.cumsum(span) - span
-                owner = np.repeat(active, span)
-                coord = np.arange(owner.size) + np.repeat(start - first, span)
+                # each active restart's window: coordinates start .. start +
+                # span - 1 of the segment, as probes first .. first + span - 1
+                span = np.minimum(n - start, width)
+                first = span.cumsum() - span
+                offset = start - first
+                owner = active.repeat(span)
                 m = owner.size
+                coord = ar[:m] + offset.repeat(span)
                 rows = np.concatenate([owner, owner])  # the +step probes, then the -step probes
-                probes = x[rows, lo:hi]
-                probes[np.arange(2 * m), np.concatenate([coord, coord]) - lo] += np.concatenate(
-                    [step[owner], -step[owner]])
-                batch.fix(seg, rows)
-                vals = batch.score(probes)
+                probes = xs.take(rows, axis=0)
+                delta = step[owner]
+                probes[ar[:m], coord] += delta
+                probes[ar[m:2 * m], coord] -= delta
+                vals = batch.score(seg, rows, probes)
                 bar = best[owner] - 1e-15
                 up = vals[:m] < bar
-                down = ~up & (vals[m:] < bar)
-                found = up | down
+                found = up | (vals[m:] < bar)
                 # Integer arrays are never compared here, hence the astype(bool)
                 # filter below: on numpy 2.4.6 (x86-64) the first int64
                 # comparison faults in about 128 KiB of compiled loops that
                 # the rest of a search never runs, and peak RSS shows it.
-                # Each window's first improving coordinate, or its end:
-                hit = np.minimum(np.minimum.reduceat(np.where(found, coord, hi), first), end)
+                # Each window's first improving coordinate, or n where none is:
+                hit = np.minimum.reduceat(np.where(found, coord, n), first)
                 moved = np.logical_or.reduceat(found, first)
-                cursor[active] = hit + moved
                 if moved.any():
-                    j = (first + hit - start)[moved]
                     points = active[moved]
-                    evals[points] -= up[j]
-                    taken = j + m * down[j]
-                    x[points, hit[moved]] = probes[taken, hit[moved] - lo]
+                    c = hit[moved]
+                    j = c - offset[moved]
+                    plus = up[j]
+                    evals[points] -= plus
+                    taken = j + m * ~plus
+                    xs[points, c] = probes[taken, c]
                     improved[points] = True
                     batch.keep(points, taken)
-                active = active[(hi - cursor[active]).astype(bool)]
+                # the next window starts just past the taken coordinate, or
+                # past this window
+                start = np.minimum(hit + 1, start + span)
+                going = (n - start).astype(bool)
+                active = active[going]
+                start = start[going]
         stalled = live[~improved[live]]
         step[stalled] *= 0.5
         live = live[~(step[live] < STEP_TOL)]
@@ -662,9 +635,10 @@ def search(
 
     The restarts run in blocks of at most ``SEARCH_BLOCK``, each block in
     lockstep through ``_descend``, so memory does not grow with the number
-    of restarts. With few restarts live, ``_descend`` scores a window of
-    each restart's next coordinates per batch call, up to ``PROBE_STACK``
-    probes. Restarts are independent, and a probe's value depends neither
+    of restarts. ``_descend`` scores a window of each live restart's next
+    coordinates per batch call: up to ``PROBE_STACK`` probes in all while
+    few restarts are live, one coordinate each once ``PROBE_STACK / 2`` or
+    more are. Restarts are independent, and a probe's value depends neither
     on its block nor on its window, so neither changes a trajectory.
     ``evaluations`` and ``sweeps`` add up the per-restart counts of
     ``_descend``; ``evaluations`` counts the probes each restart would score

@@ -501,7 +501,6 @@ def test_objective_matches_residual_exactly(dims, config):
         seg = k % 3
         lo, hi = bounds[seg]
         rows = rng.integers(0, 4, size=6)
-        batch.fix(seg, rows)
         for _ in range(2):
             i = int(rng.integers(lo, hi))
             probes = x[rows, lo:hi]
@@ -509,7 +508,7 @@ def test_objective_matches_residual_exactly(dims, config):
             if seg < 2 and k % 2:
                 probes[k % rows.size] = 0.0  # the norm fallback beside normal rows
                 zero_rows += 1
-            got = batch.score(probes)
+            got = batch.score(seg, rows, probes)
             for j, point in enumerate(rows):
                 moved = x[point].copy()
                 moved[lo:hi] = probes[j]
@@ -570,9 +569,9 @@ def _count_scores(monkeypatch):
     stacks = []
     score = cons._Batch.score
 
-    def counted(self, probes):
+    def counted(self, seg, rows, probes):
         stacks.append(probes.shape[0])
-        return score(self, probes)
+        return score(self, seg, rows, probes)
 
     monkeypatch.setattr(cons._Batch, "score", counted)
     return stacks
@@ -587,6 +586,17 @@ def test_few_restarts_score_windows_in_few_calls(monkeypatch):
     assert rep.sweeps == 2 * max_iters
     assert len(stacks) < cons._n_params(dims) * max_iters / 2, len(stacks)
     assert max(stacks) == cons.PROBE_STACK
+
+
+def test_full_block_scores_one_coordinate_per_call(monkeypatch):
+    # from 16 live restarts on, each window is one coordinate: a full block
+    # of 64 restarts over 2 sweeps at (2, 2, 2) scores each of the 56
+    # coordinates per sweep in one call, with a +step and a -step probe per
+    # restart
+    stacks = _count_scores(monkeypatch)
+    rep = cons.search((2, 2, 2), restarts=cons.SEARCH_BLOCK, max_iters=2, seed=0)
+    assert rep.sweeps == 2 * cons.SEARCH_BLOCK
+    assert stacks == [128] * 112
 
 
 def test_window_stack_within_block_budget(monkeypatch):
